@@ -10,10 +10,10 @@ import argparse
 import random
 import time
 
+from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord, Corpus, load_coco
 from capqa.lingo import Lexicons, analyze, pluralize
 from capqa.qgen import (
-    GenConfig,
     gen_color,
     gen_location,
     gen_number,
@@ -47,11 +47,11 @@ def one_pass(corpus, lex, cfg):
     for rec in corpus.records:
         for idx, caption in enumerate(rec.captions):
             analysis = analyze(caption, lex)
-            gen_yesno(rec, idx, analysis, None, cfg, lex=lex)
-            gen_object(rec, analysis, cfg, caption_index=idx, lex=lex)
-            gen_number(rec, analysis, cfg, caption_index=idx, lex=lex)
-            gen_color(rec, analysis, cfg, caption_index=idx, lex=lex)
-            gen_location(rec, analysis, lex, cfg, caption_index=idx)
+            gen_yesno(rec, idx, analysis, cfg, lex)
+            gen_object(rec, idx, analysis, lex)
+            gen_number(rec, idx, analysis, cfg, lex)
+            gen_color(rec, idx, analysis)
+            gen_location(rec, idx, analysis, lex)
             count += 1
     return count
 
@@ -70,7 +70,7 @@ def main():
         corpus = synthesize(args.images, random.Random(args.seed))
 
     lex = Lexicons.default()
-    cfg = GenConfig(seed=args.seed)
+    cfg = PipelineConfig(seed=args.seed)
     captions = one_pass(corpus, lex, cfg)  # warm caches
 
     best = float("inf")

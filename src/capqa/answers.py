@@ -88,8 +88,7 @@ def _digit_swaps(toks, lex: Lexicons, digit_to_word: dict):
             yield combo
 
 
-def expand_answer(answer: str, lex: Lexicons = None) -> WeightedAnswerSet:
-    lex = lex or Lexicons.default()
+def expand_answer(answer: str, lex: Lexicons) -> WeightedAnswerSet:
     digit_to_word = {d: w for w, d in lex.number_words.items()}
     toks = normalize_answer(answer)
     if not toks:
@@ -134,10 +133,9 @@ def expand_answer(answer: str, lex: Lexicons = None) -> WeightedAnswerSet:
     return WeightedAnswerSet(full_answer=full, entries=ordered)
 
 
-def build_vocab(pairs, min_count: int = 1, lex: Lexicons = None) -> AnswerVocab:
+def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> AnswerVocab:
     """Count expanded answer phrases over a pair stream; keep those seen at
     least min_count times, ordered by descending count then phrase."""
-    lex = lex or Lexicons.default()
     counts: dict[str, int] = {}
     for qa in pairs:
         if qa.weights:
@@ -161,7 +159,7 @@ def swa_target(qa, vocab: AnswerVocab) -> dict[int, float]:
     """
     weights = qa.weights
     if not weights:
-        weights = expand_answer(qa.answer).entries
+        weights = expand_answer(qa.answer, Lexicons.default()).entries
     full = " ".join(normalize_answer(qa.answer))
     if full not in vocab.index:
         raise AnswerNotInVocab(full)

@@ -18,12 +18,12 @@ from typing import Optional
 
 import requests
 
+from .config import AUGMENT_MODES, PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
 from .lingo import singularize
 from .qa import QAPair, derived_qa_id
 from .rng import stream
 
-_MODES = ("paraphrase", "backtranslate")
 _PIVOTS = ("fr", "de", "es")
 
 _WORD_RE = re.compile(r"\w+(?:['’-]\w+)*")
@@ -39,8 +39,8 @@ class RewriteRequest:
     def __post_init__(self):
         if not self.text:
             raise ValueError("rewrite request text must be non-empty")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in AUGMENT_MODES:
+            raise ValueError(f"mode must be one of {AUGMENT_MODES}")
         if self.mode == "backtranslate":
             if self.pivot_language not in _PIVOTS:
                 raise ValueError(f"backtranslate requires pivot_language in {_PIVOTS}")
@@ -55,34 +55,6 @@ class RewriteResponse:
 
     def __post_init__(self):
         object.__setattr__(self, "rewrites", tuple(self.rewrites))
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    mode: str = "paraphrase"
-    pivot_language: Optional[str] = None
-    max_variants: int = 2
-    keep_probability: float = 1.0
-    seed: int = 0
-    fallback: bool = False
-    timeout_s: float = 30.0
-    batch_size: int = 64
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.mode == "backtranslate" and self.pivot_language not in _PIVOTS:
-            raise ValueError(f"backtranslate requires pivot_language in {_PIVOTS}")
-        if self.mode == "paraphrase" and self.pivot_language is not None:
-            raise ValueError("pivot_language only applies to backtranslate")
-        if self.max_variants < 0:
-            raise ValueError("max_variants must be non-negative")
-        if not 0.0 <= self.keep_probability <= 1.0:
-            raise ValueError("keep_probability must lie in [0, 1]")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
 
 
 # --- built-in rule table --------------------------------------------------------
@@ -114,11 +86,11 @@ def _normalize(text: str) -> str:
     return re.sub(r"\s+", " ", text.strip().lower())
 
 
-def builtin_rewrite(question: str, cfg: AugmentConfig) -> list:
+def builtin_rewrite(question: str, cfg: PipelineConfig) -> list:
     """Rule-table rewrites of one question, at most cfg.max_variants of them."""
     variants = []
     base = question
-    if cfg.mode == "backtranslate":
+    if cfg.augment_mode == "backtranslate":
         base = _REL_CLAUSE.sub(r"\1 ", question)
         if base != question:
             variants.append(base)
@@ -140,7 +112,7 @@ def builtin_rewrite(question: str, cfg: AugmentConfig) -> list:
         seen.add(norm)
         unique.append(v)
     if len(unique) > cfg.max_variants:
-        rng = stream(cfg.seed, question, cfg.mode, "builtin")
+        rng = stream(cfg.seed, question, cfg.augment_mode, "builtin")
         keep = sorted(rng.sample(range(len(unique)), cfg.max_variants))
         unique = [unique[i] for i in keep]
     return unique
@@ -236,21 +208,21 @@ def _mentions(text: str, answer: str) -> bool:
     return singularize(a[-1]) in {singularize(w) for w in t}
 
 
-def augment_batch(pairs, rewriter, cfg: AugmentConfig) -> list:
+def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
     """Originals plus answer-consistent rewrites, in input order.
 
     Each accepted rewrite becomes a new pair carrying the same answer and a
-    parent_id pointing at its source pair.
+    parent_id pointing at its source pair. A mode/pivot pair that
+    RewriteRequest rejects raises ValueError before any rewriter call.
     """
     pairs = list(pairs)
     if not pairs:
         raise MalformedInput("augment_batch needs at least one pair")
     backend = _resolve_backend(rewriter, cfg)
-    pivot = cfg.pivot_language if cfg.mode == "backtranslate" else None
+    mode = cfg.augment_mode
+    pivot = cfg.pivot_language or None
     reqs = [
-        RewriteRequest(
-            request_id=p.qa_id, text=p.question, mode=cfg.mode, pivot_language=pivot
-        )
+        RewriteRequest(request_id=p.qa_id, text=p.question, mode=mode, pivot_language=pivot)
         for p in pairs
     ]
     responses = {}
@@ -290,12 +262,12 @@ def augment_batch(pairs, rewriter, cfg: AugmentConfig) -> list:
                 continue
             out.append(
                 QAPair(
-                    qa_id=derived_qa_id(pair.image_id, pair.qa_id, cfg.mode, ordinal),
+                    qa_id=derived_qa_id(pair.image_id, pair.qa_id, mode, ordinal),
                     image_id=pair.image_id,
                     question=rewrite,
                     answer=pair.answer,
                     answer_type=pair.answer_type,
-                    source=cfg.mode,
+                    source=mode,
                     source_caption=pair.source_caption,
                     parent_id=pair.qa_id,
                 )

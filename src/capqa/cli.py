@@ -18,9 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .answers import build_vocab, expand_answer, save_vocab_file
-from .augment import AugmentConfig, augment_batch
+from .augment import augment_batch
 from .config import (
+    AUGMENT_MODES,
+    FIELD_NAMES,
     GENERATORS,
+    NEGATIVE_MODES,
     PRETRAIN_TASKS,
     PipelineConfig,
     load_config,
@@ -35,7 +38,6 @@ from .patches import pyramid, write_manifest
 from .pretrain import itm_pairs, mlm_mask, mqa_mask, write_samples
 from .qa import read_jsonl, write_jsonl
 from .qgen import (
-    GenConfig,
     build_object_vocab,
     gen_color,
     gen_location,
@@ -53,29 +55,24 @@ log = logging.getLogger(__name__)
 _ATOMIC_ANSWERS = ("yes", "no", "none", "can't say")
 
 
+def _lexicons(cfg: PipelineConfig) -> Lexicons:
+    if not cfg.lexicons:
+        return Lexicons.default()
+    return Lexicons.load(require_file(cfg.lexicons, "--lexicons"))
+
+
 # --- generation context -----------------------------------------------------------
 
 
 class _Context:
     """Read-only state shared by every record of a generate run."""
 
-    __slots__ = ("cfg", "gen_cfg", "lex", "corpus", "store", "object_vocab",
+    __slots__ = ("cfg", "lex", "corpus", "store", "object_vocab",
                  "lemma_index", "frames_by_image")
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.gen_cfg = GenConfig(
-            seed=cfg.seed,
-            yesno_prefixes=cfg.yesno_prefixes,
-            adversarial_threshold=cfg.adversarial_threshold,
-            max_questions_per_caption=cfg.max_questions_per_caption,
-            negative_mode=cfg.negative_mode,
-        )
-        self.lex = (
-            Lexicons.load(require_file(cfg.lexicons, "--lexicons"))
-            if cfg.lexicons
-            else Lexicons.default()
-        )
+        self.lex = _lexicons(cfg)
         self.corpus = load_coco(require_file(cfg.captions, "--captions"))
         self.lemma_index, counts = object_lemma_index(self.corpus.records, self.lex)
         if cfg.vectors:
@@ -107,38 +104,35 @@ def _ensure_weights(qa, lex) -> None:
 def _record_pairs(record, ctx: _Context) -> list:
     """Every enabled generator over one record's captions, weights filled."""
     out = []
-    gens = ctx.cfg.generators
+    cfg, lex = ctx.cfg, ctx.lex
+    gens = cfg.generators
     for idx, caption in enumerate(record.captions):
-        analysis = analyze(caption, ctx.lex)
+        analysis = analyze(caption, lex)
         atomic = []
         rest = []
         if "yesno" in gens:
             atomic = gen_yesno(
-                record, idx, analysis, ctx.store, ctx.gen_cfg,
-                lex=ctx.lex,
+                record, idx, analysis, cfg, lex,
+                store=ctx.store,
                 object_vocab=ctx.object_vocab,
-                record_lemmas=ctx.lemma_index.get(record.image_id),
+                record_lemmas=ctx.lemma_index[record.image_id],
             )
         if "object" in gens:
-            rest.extend(gen_object(record, analysis, ctx.gen_cfg,
-                                   caption_index=idx, lex=ctx.lex))
+            rest.extend(gen_object(record, idx, analysis, lex))
         if "number" in gens:
-            rest.extend(gen_number(record, analysis, ctx.gen_cfg,
-                                   caption_index=idx, lex=ctx.lex))
+            rest.extend(gen_number(record, idx, analysis, cfg, lex))
         if "color" in gens:
-            rest.extend(gen_color(record, analysis, ctx.gen_cfg,
-                                  caption_index=idx, lex=ctx.lex))
+            rest.extend(gen_color(record, idx, analysis))
         if "location" in gens:
-            rest.extend(gen_location(record, analysis, ctx.lex, ctx.gen_cfg,
-                                     caption_index=idx))
+            rest.extend(gen_location(record, idx, analysis, lex))
         # the yes/no pair is indivisible and exempt from the per-caption cap
         out.extend(atomic)
-        out.extend(rest[: ctx.gen_cfg.max_questions_per_caption])
+        out.extend(rest[: cfg.max_questions_per_caption])
     if "srl" in gens:
         for frame in ctx.frames_by_image.get(record.image_id, ()):
-            out.extend(render_qa(frame, ctx.gen_cfg, lex=ctx.lex))
+            out.extend(render_qa(frame, lex))
     for qa in out:
-        _ensure_weights(qa, ctx.lex)
+        _ensure_weights(qa, lex)
     return out
 
 
@@ -227,20 +221,10 @@ def _cmd_augment(args) -> int:
     cfg = _effective_config(args)
     pairs = list(read_jsonl(require_file(args.input, "--in")))
     try:
-        acfg = AugmentConfig(
-            mode=cfg.augment_mode,
-            pivot_language=cfg.pivot_language or None,
-            max_variants=cfg.max_variants,
-            keep_probability=cfg.keep_probability,
-            seed=cfg.seed,
-            fallback=cfg.fallback,
-            timeout_s=cfg.timeout_s,
-            batch_size=cfg.batch_size,
-        )
-        out_pairs = augment_batch(pairs, cfg.rewriter or None, acfg)
+        out_pairs = augment_batch(pairs, cfg.rewriter or None, cfg)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-    lex = Lexicons.load(cfg.lexicons) if cfg.lexicons else Lexicons.default()
+    lex = _lexicons(cfg)
     for qa in out_pairs:
         _ensure_weights(qa, lex)
     count = _atomic_write(args.out, lambda p: write_jsonl(out_pairs, p))
@@ -251,7 +235,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_weigh(args) -> int:
     cfg = _effective_config(args)
-    lex = Lexicons.load(cfg.lexicons) if cfg.lexicons else Lexicons.default()
+    lex = _lexicons(cfg)
     pairs = list(read_jsonl(require_file(args.input, "--in")))
     filled = 0
     for qa in pairs:
@@ -268,11 +252,10 @@ def _cmd_weigh(args) -> int:
 
 def _cmd_vocab(args) -> int:
     cfg = _effective_config(args)
-    lex = Lexicons.load(cfg.lexicons) if cfg.lexicons else Lexicons.default()
     vocab = build_vocab(
         read_jsonl(require_file(args.input, "--in")),
+        lex=_lexicons(cfg),
         min_count=cfg.min_count,
-        lex=lex,
     )
     def write(path):
         save_vocab_file(vocab, path)
@@ -335,8 +318,7 @@ def _cmd_pretrain(args) -> int:
         for qa in read_jsonl(qa_path):
             samples.append(mqa_mask(qa, cfg.seed))
     if "itm" in cfg.tasks:
-        lex = Lexicons.load(cfg.lexicons) if cfg.lexicons else Lexicons.default()
-        index, _ = object_lemma_index(corpus.records, lex)
+        index, _ = object_lemma_index(corpus.records, _lexicons(cfg))
         for rec in corpus.records:
             samples.extend(itm_pairs(rec, corpus, index, cfg.neg_ratio, cfg.seed))
     count = _atomic_write(args.out, lambda p: write_samples(samples, p))
@@ -421,14 +403,7 @@ def _parse_overrides(args) -> dict:
         except json.JSONDecodeError:
             value = raw
         overrides[key.strip()] = value
-    for field in (
-        "seed", "captions", "vectors", "srl_frames", "lexicons", "rewriter",
-        "generators", "negative_mode", "max_questions_per_caption", "levels",
-        "neg_ratio", "min_count", "questions_per_image_per_epoch", "workers",
-        "vocab_limit", "augment_mode", "pivot_language", "max_variants",
-        "keep_probability", "fallback", "timeout_s", "batch_size", "tasks",
-        "default_dims",
-    ):
+    for field in FIELD_NAMES:
         if getattr(args, field, None) is not None:
             overrides[field] = getattr(args, field)
     return overrides
@@ -462,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", type=_comma_list,
                    help=f"comma list from {','.join(GENERATORS)}")
     p.add_argument("--negative-mode", dest="negative_mode",
-                   choices=("auto", "negation", "adversarial"))
+                   choices=NEGATIVE_MODES)
     p.add_argument("--max-questions-per-caption", dest="max_questions_per_caption",
                    type=int)
     p.add_argument("--workers", type=int)
@@ -474,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output QA JSONL")
     p.add_argument("--rewriter", help="'builtin', an argv string, or an http URL")
     p.add_argument("--mode", dest="augment_mode",
-                   choices=("paraphrase", "backtranslate"))
+                   choices=AUGMENT_MODES)
     p.add_argument("--pivot-language", dest="pivot_language")
     p.add_argument("--max-variants", dest="max_variants", type=int)
     p.add_argument("--keep-probability", dest="keep_probability", type=float)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import MalformedInput
 
 GENERATORS = ("yesno", "object", "number", "color", "location", "srl")
 PRETRAIN_TASKS = ("mlm", "mqa", "itm")
+NEGATIVE_MODES = ("auto", "negation", "adversarial")
+AUGMENT_MODES = ("paraphrase", "backtranslate")
 
 _DEFAULT_PREFIXES = ("is there", "is this", "is the", "are there")
 
@@ -62,6 +64,26 @@ class PipelineConfig:
         for task in self.tasks:
             if task not in PRETRAIN_TASKS:
                 raise MalformedInput(f"unknown task {task!r}; choose from {PRETRAIN_TASKS}")
+        if not self.yesno_prefixes:
+            raise MalformedInput("yesno_prefixes must be non-empty")
+        if not 0.0 <= self.adversarial_threshold <= 1.0:
+            raise MalformedInput("adversarial_threshold must lie in [0, 1]")
+        if self.max_questions_per_caption < 1:
+            raise MalformedInput("max_questions_per_caption must be at least 1")
+        if self.negative_mode not in NEGATIVE_MODES:
+            raise MalformedInput(f"negative_mode must be one of {NEGATIVE_MODES}")
+        if self.vocab_limit < 1:
+            raise MalformedInput("vocab_limit must be at least 1")
+        if self.augment_mode not in AUGMENT_MODES:
+            raise MalformedInput(f"augment_mode must be one of {AUGMENT_MODES}")
+        if self.max_variants < 0:
+            raise MalformedInput("max_variants must be non-negative")
+        if not 0.0 <= self.keep_probability <= 1.0:
+            raise MalformedInput("keep_probability must lie in [0, 1]")
+        if self.timeout_s <= 0:
+            raise MalformedInput("timeout_s must be positive")
+        if self.batch_size < 1:
+            raise MalformedInput("batch_size must be at least 1")
         if self.workers < 1:
             raise MalformedInput("workers must be at least 1")
         if self.neg_ratio < 0:
@@ -76,7 +98,7 @@ class PipelineConfig:
         return d
 
 
-_FIELD_NAMES = {f.name for f in fields(PipelineConfig)}
+FIELD_NAMES = tuple(f.name for f in fields(PipelineConfig))
 
 
 def load_config(path) -> PipelineConfig:
@@ -90,7 +112,7 @@ def load_config(path) -> PipelineConfig:
         raise MalformedInput(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInput(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(doc) - _FIELD_NAMES)
+    unknown = sorted(set(doc) - set(FIELD_NAMES))
     if unknown:
         raise MalformedInput(f"config file {path} has unknown keys: {', '.join(unknown)}")
     try:
@@ -112,11 +134,14 @@ def resolve(file_config: PipelineConfig = None, overrides: dict = None) -> Pipel
                 f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
             ) from None
     for key, value in (overrides or {}).items():
-        if key not in _FIELD_NAMES:
+        if key not in FIELD_NAMES:
             raise MalformedInput(f"unknown config field {key!r}")
         if value is not None:
             values[key] = value
-    return PipelineConfig(**values)
+    try:
+        return PipelineConfig(**values)
+    except TypeError as exc:
+        raise MalformedInput(f"bad config value: {exc}") from exc
 
 
 def require_file(path: str, what: str) -> str:

@@ -89,11 +89,6 @@ def load_coco(path) -> Corpus:
     return Corpus(records=records, source_path=str(path))
 
 
-def iterate(corpus: Corpus) -> Iterator[CaptionRecord]:
-    """Records in ascending image_id order (the stored order)."""
-    yield from corpus.records
-
-
 def save_coco(corpus: Corpus, path) -> None:
     annotations = []
     images = []

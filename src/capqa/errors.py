@@ -21,10 +21,6 @@ class ZeroVector(CapqaError):
     """Vector has zero norm, similarity undefined."""
 
 
-class NoObjects(CapqaError):
-    """Caption contains no noun phrase to build a question from."""
-
-
 class Unsupported(CapqaError):
     """Operation does not apply to this answer type."""
 

@@ -1,8 +1,8 @@
 """Rule-based linguistic analysis of captions.
 
-Tokenization, coarse POS tagging, noun-phrase chunking, and the small
-transformations question generation needs (auxiliary stripping, determiner
-rewriting, location extraction). Tagging is closed-lexicon plus suffix
+Tokenization, coarse POS tagging, noun-phrase chunking, the small
+transformations question generation needs (auxiliary stripping,
+detokenization), and the per-image head-lemma index. Tagging is closed-lexicon plus suffix
 heuristics with NOUN as the default for unknown content words; captions are
 simple declaratives, so this deliberately trades coverage for determinism
 and zero model dependencies.
@@ -277,35 +277,6 @@ def detokenize(tokens) -> str:
         else:
             parts.append(t.text)
     return " ".join(parts)
-
-
-def definitize(np: NounPhrase) -> NounPhrase:
-    """Indefinite determiner a/an rewritten to "the"; anything else untouched."""
-    det = np.determiner
-    if det is None or det.text.lower() not in ("a", "an"):
-        return np
-    new_det = replace(det, text="the", lemma="the")
-    toks = tuple(new_det if t is det else t for t in np.tokens)
-    return NounPhrase(
-        tokens=toks,
-        head=np.head,
-        determiner=new_det,
-        quantifier=np.quantifier,
-        color=np.color,
-    )
-
-
-def extract_locations(tokens, nps, lex: Lexicons):
-    """Noun phrases that follow "in"/"within" and whose head is a known place,
-    scene, or container word."""
-    first_token_spans = {np.tokens[0].span: np for np in nps}
-    out = []
-    for i, t in enumerate(tokens[:-1]):
-        if t.pos == ADP and t.text.lower() in ("in", "within"):
-            np = first_token_spans.get(tokens[i + 1].span)
-            if np is not None and np.head.lemma in lex.locations:
-                out.append(np.text)
-    return out
 
 
 def object_lemma_index(records, lex: Lexicons):

@@ -22,8 +22,6 @@ log = logging.getLogger(__name__)
 
 MASK = "[MASK]"
 
-TASKS = ("mlm", "mqa", "itm")
-
 
 @dataclass
 class PretrainSample:

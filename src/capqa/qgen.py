@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from . import lingo
 from . import wordlists as wl
+from .config import PipelineConfig
 from .embed import EmbeddingStore, nearest
 from .errors import Unsupported, ZeroVector
 from .lingo import ADP, AUX, NOUN, OTHER, PROPN, VERB, Lexicons
 from .qa import QAPair, derived_qa_id, make_qa_id
 from .rng import stream
-
-_DEFAULT_PREFIXES = ("is there", "is this", "is the", "are there")
-_NEGATIVE_MODES = ("auto", "negation", "adversarial")
 
 _ARTICLES = ("a", "an", "the")
 _DEMONSTRATIVES = ("this", "these", "that", "those")
@@ -35,26 +32,6 @@ _ART_AN = re.compile(r"\b(an) (?=[b-df-hj-np-tv-z])")
 _COLOR_Q = re.compile(r"^What is the color of (.+)\?$")
 
 _LONG_QUESTION = 14
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    yesno_prefixes: tuple = _DEFAULT_PREFIXES
-    adversarial_threshold: float = 0.4
-    max_questions_per_caption: int = 20
-    negative_mode: str = "auto"
-
-    def __post_init__(self):
-        object.__setattr__(self, "yesno_prefixes", tuple(self.yesno_prefixes))
-        if not self.yesno_prefixes:
-            raise ValueError("yesno_prefixes must be non-empty")
-        if not 0.0 <= self.adversarial_threshold <= 1.0:
-            raise ValueError("adversarial_threshold must lie in [0, 1]")
-        if self.max_questions_per_caption < 1:
-            raise ValueError("max_questions_per_caption must be at least 1")
-        if self.negative_mode not in _NEGATIVE_MODES:
-            raise ValueError(f"negative_mode must be one of {_NEGATIVE_MODES}")
 
 
 # --- assembly helpers ---------------------------------------------------------
@@ -160,10 +137,13 @@ def _agree_prefix(prefix: str, plural: bool) -> str:
     return " ".join(words)
 
 
-def gen_yesno(record, caption_index, analysis, store, cfg, *, lex=None,
-              object_vocab=None, record_lemmas=None):
-    """One affirmed question plus exactly one paired negative per caption."""
-    lex = lex or Lexicons.default()
+def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicons, *,
+              store: EmbeddingStore = None, object_vocab=(), record_lemmas=frozenset()):
+    """One affirmed question plus exactly one paired negative per caption.
+
+    Adversarial negatives need `store`; they draw substitutes from
+    `object_vocab` and never from `record_lemmas`, the image's own lemmas.
+    """
     tokens, nps = analysis
     if not nps:
         return []
@@ -192,11 +172,7 @@ def gen_yesno(record, caption_index, analysis, store, cfg, *, lex=None,
         mode = "adversarial" if use_adv else "negation"
     neg = None
     if mode == "adversarial" and store is not None:
-        vocab = object_vocab if object_vocab is not None else set(store.vocab_order)
-        neg = adversarial_qa(
-            yes, analysis, record, store, vocab, cfg,
-            lex=lex, record_lemmas=record_lemmas,
-        )
+        neg = adversarial_qa(yes, analysis, store, object_vocab, record_lemmas, cfg)
     if neg is None:
         neg = negate_qa(yes, analysis, lex, cfg)
     return [yes, neg]
@@ -211,7 +187,7 @@ def _np_answer(np_) -> str:
     return np_.head.text.lower()
 
 
-def _object_eligible(np_, lex) -> bool:
+def _object_eligible(np_) -> bool:
     if np_.head.lemma in wl.RELATIONAL_NOUNS:
         return False
     det = np_.determiner
@@ -220,9 +196,8 @@ def _object_eligible(np_, lex) -> bool:
     return True
 
 
-def gen_object(record, analysis, cfg, *, caption_index=0, lex=None):
+def gen_object(record, caption_index, analysis, lex: Lexicons):
     """Replace noun phrases with "what"; the removed phrase is the answer."""
-    lex = lex or Lexicons.default()
     tokens, nps = analysis
     pairs = []
     subject, subj_idx = _subject_np(tokens, nps)
@@ -238,14 +213,14 @@ def gen_object(record, analysis, cfg, *, caption_index=0, lex=None):
         for t in tokens
     ):
         np_ = nps[0]
-        if _object_eligible(np_, lex):
+        if _object_eligible(np_):
             question = "What are these?" if _is_plural(np_.head) else "What is this?"
             emit(question, _np_answer(np_))
         return pairs
 
     subj_plural = subject is not None and _is_plural(subject.head)
     for np_ in nps:
-        if not _object_eligible(np_, lex):
+        if not _object_eligible(np_):
             continue
         is_subject = np_ is subject
         if is_subject:
@@ -288,9 +263,8 @@ def gen_object(record, analysis, cfg, *, caption_index=0, lex=None):
 # --- number -------------------------------------------------------------------
 
 
-def gen_number(record, analysis, cfg, *, caption_index=0, lex=None):
+def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicons):
     """A counting question per numerically quantified noun phrase."""
-    lex = lex or Lexicons.default()
     tokens, nps = analysis
     rng = stream(cfg.seed, record.image_id, caption_index, "number")
     pairs = []
@@ -336,7 +310,7 @@ def gen_number(record, analysis, cfg, *, caption_index=0, lex=None):
 # --- color --------------------------------------------------------------------
 
 
-def gen_color(record, analysis, cfg, *, caption_index=0, lex=None):
+def gen_color(record, caption_index, analysis):
     tokens, nps = analysis
     pairs = []
     for np_ in nps:
@@ -356,7 +330,7 @@ def gen_color(record, analysis, cfg, *, caption_index=0, lex=None):
 # --- location -----------------------------------------------------------------
 
 
-def gen_location(record, analysis, lex, cfg, *, caption_index=0):
+def gen_location(record, caption_index, analysis, lex: Lexicons):
     tokens, nps = analysis
     subject, subj_idx = _subject_np(tokens, nps)
     start_of = {id(np_.tokens[0]): np_ for np_ in nps}
@@ -420,7 +394,7 @@ def _negate_yesno_question(question: str, lex: Lexicons) -> str:
     return _splice(tokens, insert_at=1, insert_word="not")
 
 
-def negate_qa(qa: QAPair, analysis, lex: Lexicons, cfg: GenConfig) -> QAPair:
+def negate_qa(qa: QAPair, analysis, lex: Lexicons, cfg: PipelineConfig) -> QAPair:
     """Negated twin of a yes/no or color pair, with the answer flipped."""
     if qa.answer_type == "yesno":
         question = _negate_yesno_question(qa.question, lex)
@@ -468,26 +442,19 @@ def _question_answer_remap(qa: QAPair):
     return None
 
 
-def adversarial_qa(qa: QAPair, analysis, record, store: EmbeddingStore,
-                   object_vocab, cfg: GenConfig, *, lex=None, record_lemmas=None):
+def adversarial_qa(qa: QAPair, analysis, store: EmbeddingStore, object_vocab,
+                   record_lemmas, cfg: PipelineConfig):
     """Swap one mentioned object for a near neighbour absent from the image.
 
-    Returns None when the question names no storable object, no candidate
-    clears the similarity threshold, or the answer type has no remap.
+    `record_lemmas` holds the head lemmas of every caption of the image (see
+    lingo.object_lemma_index); no substitute may share one of them. Returns
+    None when the question names no storable object, no candidate clears the
+    similarity threshold, or the answer type has no remap.
     """
     answer = _question_answer_remap(qa)
     if answer is None:
         return None
-    lex = lex or Lexicons.default()
-    tokens, nps = analysis
-
-    if record_lemmas is None:
-        lemmas = set()
-        for caption in record.captions:
-            _, caption_nps = lingo.analyze(caption, lex)
-            lemmas.update(np_.head.lemma for np_ in caption_nps)
-    else:
-        lemmas = set(record_lemmas)
+    _, nps = analysis
 
     q_lower = qa.question.lower()
     target = None
@@ -502,11 +469,11 @@ def adversarial_qa(qa: QAPair, analysis, record, store: EmbeddingStore,
     surface, word = target
 
     def absent(candidate: str) -> bool:
-        return all(lingo.singularize(w) not in lemmas for w in candidate.split(" "))
+        return all(lingo.singularize(w) not in record_lemmas for w in candidate.split(" "))
 
     candidates = {c for c in object_vocab if absent(c)}
     try:
-        hits = nearest(word, store, candidates, exclude=lemmas | {surface, word})
+        hits = nearest(word, store, candidates, exclude=record_lemmas | {surface, word})
     except ZeroVector:
         return None
     if not hits or hits[0][1] < cfg.adversarial_threshold:

@@ -206,9 +206,8 @@ def _generic(text: str, lex: Lexicons) -> str:
     return "someone" if animacy(text, lex) == "animate" else "something"
 
 
-def render_qa(frame: SrlFrame, cfg, *, lex=None) -> list:
+def render_qa(frame: SrlFrame, lex: Lexicons) -> list:
     """One QAPair per queryable argument of the frame."""
-    lex = lex or Lexicons.default()
     if not frame.args:
         return []
     verb = _verb_form(frame)

@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 
 from capqa.answers import expand_answer
-from capqa.augment import AugmentConfig, builtin_rewrite
+from capqa.augment import builtin_rewrite
 from capqa.cli import main
+from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord, load_coco
 from capqa.embed import make_store
 from capqa.lingo import Lexicons, analyze, object_lemma_index
@@ -20,7 +21,6 @@ from capqa.patches import pyramid
 from capqa.pretrain import itm_pairs, mlm_mask, mqa_mask
 from capqa.qa import QAPair
 from capqa.qgen import (
-    GenConfig,
     adversarial_qa,
     gen_color,
     gen_location,
@@ -80,9 +80,11 @@ def test_criterion_1_golden_examples():
                 "hat": np.array([0.0, 1.0, 0.0]),
             }
         )
-        cfg = GenConfig(seed=0, yesno_prefixes=["is there"], negative_mode="adversarial")
+        cfg = PipelineConfig(seed=0, yesno_prefixes=["is there"], negative_mode="adversarial")
         record = CaptionRecord(image_id=1, captions=[caption])
-        pairs = gen_yesno(record, 0, analyze(caption, LEX), store, cfg)
+        pairs = gen_yesno(record, 0, analyze(caption, LEX), cfg, LEX, store=store,
+                          object_vocab=set(store.vocab_order),
+                          record_lemmas=object_lemma_index([record], LEX)[0][1])
         assert norm_pairs(pairs) == [
             ("is there a man wearing a hat and sitting?", "yes"),
             ("is there a dog wearing a hat and sitting?", "no"),
@@ -99,7 +101,7 @@ def test_criterion_1_golden_examples():
             [("AGENT", "girl in a red shirt holding an apple"),
              ("LOCATION", "an empty open field")],
         )
-        wh_pairs = norm_pairs(render_qa(hold, cfg, lex=LEX) + render_qa(sit, cfg, lex=LEX))
+        wh_pairs = norm_pairs(render_qa(hold, LEX) + render_qa(sit, LEX))
         assert ("what is someone holding?", "an apple") in wh_pairs
         assert ("who is sitting?", "girl in a red shirt holding an apple") in wh_pairs
         assert ("where is someone sitting?", "an empty open field") in wh_pairs
@@ -107,7 +109,7 @@ def test_criterion_1_golden_examples():
         # round-trip translation rewrite
         back = builtin_rewrite(
             "Is the girl who is to the left of the sailboats wearing a backpack?",
-            AugmentConfig(mode="backtranslate", pivot_language="es", max_variants=4),
+            PipelineConfig(augment_mode="backtranslate", pivot_language="es", max_variants=4),
         )
         assert "does the girl to the left of the sailboats carry a backpack?" in [
             norm(v) for v in back
@@ -115,7 +117,7 @@ def test_criterion_1_golden_examples():
 
         # negation pair
         bread = QAPair("g1", 1, "Is this bread?", "yes", "yesno", "template", "bread")
-        negated = negate_qa(bread, analyze("bread", LEX), LEX, GenConfig(seed=0))
+        negated = negate_qa(bread, analyze("bread", LEX), LEX, PipelineConfig(seed=0))
         assert (norm(negated.question), negated.answer) == ("is this not bread?", "no")
 
         # adversarial count question
@@ -134,8 +136,9 @@ def test_criterion_1_golden_examples():
             "template", pup_caption,
         )
         swapped = adversarial_qa(
-            count_q, analyze(pup_caption, LEX), pup_record, pup_store,
-            {"cat", "bed", "blanket", "puppy"}, GenConfig(seed=0),
+            count_q, analyze(pup_caption, LEX), pup_store,
+            {"cat", "bed", "blanket", "puppy"},
+            object_lemma_index([pup_record], LEX)[0][1], PipelineConfig(seed=0),
         )
         assert (norm(swapped.question), swapped.answer) == (
             "how many cats are on the bed?", "none",
@@ -144,7 +147,7 @@ def test_criterion_1_golden_examples():
         # paraphrase rule output
         para = builtin_rewrite(
             "How many cars are visible?",
-            AugmentConfig(mode="paraphrase", max_variants=4),
+            PipelineConfig(augment_mode="paraphrase", max_variants=4),
         )
         assert "how many cars are we looking at?" in [norm(v) for v in para]
 
@@ -250,11 +253,11 @@ def test_criterion_6_yes_no_balance(corpus_1000_path):
     with criterion(6, "generated yes/no answers are exactly half 'yes'"):
         start = time.perf_counter()
         corpus = load_coco(corpus_1000_path)
-        cfg = GenConfig(seed=11)
+        cfg = PipelineConfig(seed=11)
         answers = []
         for rec in corpus.records:
             for idx, caption in enumerate(rec.captions):
-                for qa in gen_yesno(rec, idx, analyze(caption, LEX), None, cfg, lex=LEX):
+                for qa in gen_yesno(rec, idx, analyze(caption, LEX), cfg, LEX):
                     answers.append(qa.answer)
         assert answers
         assert answers.count("yes") * 2 == len(answers)
@@ -284,18 +287,18 @@ def test_criterion_7_end_to_end_determinism(corpus_1000_path, tmp_path):
 def test_criterion_8_throughput(corpus_1000_path):
     with criterion(8, "template generation sustains 5,000 captions/s"):
         corpus = load_coco(corpus_1000_path)
-        cfg = GenConfig(seed=5)
+        cfg = PipelineConfig(seed=5)
 
         def one_pass():
             count = 0
             for rec in corpus.records:
                 for idx, caption in enumerate(rec.captions):
                     analysis = analyze(caption, LEX)
-                    gen_yesno(rec, idx, analysis, None, cfg, lex=LEX)
-                    gen_object(rec, analysis, cfg, caption_index=idx, lex=LEX)
-                    gen_number(rec, analysis, cfg, caption_index=idx, lex=LEX)
-                    gen_color(rec, analysis, cfg, caption_index=idx, lex=LEX)
-                    gen_location(rec, analysis, LEX, cfg, caption_index=idx)
+                    gen_yesno(rec, idx, analysis, cfg, LEX)
+                    gen_object(rec, idx, analysis, LEX)
+                    gen_number(rec, idx, analysis, cfg, LEX)
+                    gen_color(rec, idx, analysis)
+                    gen_location(rec, idx, analysis, LEX)
                     count += 1
             return count
 

@@ -8,12 +8,12 @@ import threading
 import pytest
 
 from capqa.augment import (
-    AugmentConfig,
     RewriteRequest,
     RewriteResponse,
     augment_batch,
     builtin_rewrite,
 )
+from capqa.config import PipelineConfig
 from capqa.errors import MalformedInput, RewriterUnavailable
 from capqa.qa import QAPair
 
@@ -30,8 +30,8 @@ def make_pair(question, answer, qa_id="p0", answer_type="yesno", image_id=1):
     )
 
 
-PARA = AugmentConfig(mode="paraphrase", max_variants=4, seed=0)
-BACK = AugmentConfig(mode="backtranslate", pivot_language="es", max_variants=4, seed=0)
+PARA = PipelineConfig(augment_mode="paraphrase", max_variants=4, seed=0)
+BACK = PipelineConfig(augment_mode="backtranslate", pivot_language="es", max_variants=4, seed=0)
 
 
 # --- builtin rule table ---------------------------------------------------------
@@ -57,7 +57,7 @@ def test_builtin_never_echoes_input():
 
 
 def test_builtin_deterministic_and_capped():
-    cfg = AugmentConfig(mode="paraphrase", max_variants=1, seed=3)
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=1, seed=3)
     first = builtin_rewrite("How many cars are visible?", cfg)
     second = builtin_rewrite("How many cars are visible?", cfg)
     assert first == second
@@ -93,12 +93,21 @@ def test_request_requires_pivot_iff_backtranslate():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AugmentConfig(mode="shout")
-    with pytest.raises(ValueError):
-        AugmentConfig(mode="backtranslate")  # pivot missing
-    with pytest.raises(ValueError):
-        AugmentConfig(mode="paraphrase", keep_probability=1.5)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(augment_mode="shout")
+    with pytest.raises(MalformedInput):
+        PipelineConfig(augment_mode="paraphrase", keep_probability=1.5)
+
+
+@pytest.mark.parametrize("mode, pivot", [
+    ("backtranslate", ""),  # pivot missing
+    ("backtranslate", "xx"),
+    ("paraphrase", "es"),
+])
+def test_batch_rejects_mode_pivot_mismatch(mode, pivot):
+    cfg = PipelineConfig(augment_mode=mode, pivot_language=pivot)
+    with pytest.raises(ValueError, match="pivot_language"):
+        augment_batch([make_pair("Is there a dog?", "yes")], "builtin", cfg)
 
 
 # --- augment_batch with the builtin rewriter -------------------------------------
@@ -135,14 +144,14 @@ def test_batch_empty_rejected():
 
 
 def test_keep_probability_zero_drops_all_variants():
-    cfg = AugmentConfig(mode="paraphrase", max_variants=4, keep_probability=0.0)
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, keep_probability=0.0)
     pair = make_pair("Is there a dog?", "yes")
     assert augment_batch([pair], "builtin", cfg) == [pair]
 
 
 def test_batch_deterministic():
     pair = make_pair("Is there a dog?", "yes")
-    cfg = AugmentConfig(mode="paraphrase", max_variants=4, keep_probability=0.5, seed=9)
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, keep_probability=0.5, seed=9)
     a = [(p.qa_id, p.question) for p in augment_batch([pair], "builtin", cfg)]
     b = [(p.qa_id, p.question) for p in augment_batch([pair], "builtin", cfg)]
     assert a == b
@@ -224,7 +233,7 @@ def test_subprocess_missing_binary_is_fatal():
 
 
 def test_subprocess_failure_falls_back_to_builtin():
-    cfg = AugmentConfig(mode="paraphrase", max_variants=4, fallback=True)
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, fallback=True)
     pair = make_pair("Is there a dog?", "yes")
     out = augment_batch([pair], ["/nonexistent/rewriter-binary"], cfg)
     assert "Can you see a dog?" in {p.question for p in out}
@@ -278,14 +287,14 @@ def test_http_rewriter(http_rewriter):
 
 
 def test_http_unreachable_is_fatal():
-    cfg = AugmentConfig(mode="paraphrase", max_variants=2, timeout_s=2.0)
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=2, timeout_s=2.0)
     pair = make_pair("Is there a dog?", "yes")
     with pytest.raises(RewriterUnavailable):
         augment_batch([pair], "http://127.0.0.1:9/rewrite", cfg)
 
 
 def test_http_unreachable_with_fallback(tmp_path):
-    cfg = AugmentConfig(mode="paraphrase", max_variants=4, timeout_s=2.0, fallback=True)
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, timeout_s=2.0, fallback=True)
     pair = make_pair("Is there a dog?", "yes")
     out = augment_batch([pair], "http://127.0.0.1:9/rewrite", cfg)
     assert "Can you see a dog?" in {p.question for p in out}

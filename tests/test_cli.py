@@ -60,6 +60,28 @@ class TestConfig:
         with pytest.raises(MalformedInput):
             PipelineConfig(generators=("yesno", "nope"))
 
+    @pytest.mark.parametrize("name, value", [
+        ("yesno_prefixes", ()),
+        ("adversarial_threshold", -0.1),
+        ("max_questions_per_caption", 0),
+        ("negative_mode", "bogus"),
+        ("vocab_limit", 0),
+        ("augment_mode", "shout"),
+        ("max_variants", -1),
+        ("keep_probability", 1.5),
+        ("timeout_s", 0),
+        ("batch_size", 0),
+    ])
+    def test_out_of_range_field_rejected(self, name, value):
+        with pytest.raises(MalformedInput, match=name):
+            PipelineConfig(**{name: value})
+
+    def test_bad_value_in_config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"adversarial_threshold": 2}')
+        with pytest.raises(MalformedInput, match="adversarial_threshold"):
+            load_config(path)
+
     def test_load_config_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"seed": 3, "mystery": 1}')
@@ -567,6 +589,28 @@ class TestUsageErrors:
         rc = run_generate(demo_coco, tmp_path / "x.jsonl", "--set", "bogus=1")
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "max_questions_per_caption=0",
+        "adversarial_threshold=2",
+        "yesno_prefixes=[]",
+        'negative_mode="bogus"',
+        "vocab_limit=0",
+        "vocab_limit=-5",
+    ])
+    def test_invalid_config_value_exit_1(self, demo_coco, tmp_path, capsys, setting):
+        out = tmp_path / "x.jsonl"
+        assert run_generate(demo_coco, out, "--set", setting) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert setting.partition("=")[0] in err
+        assert not out.exists()
+
+    def test_wrong_type_config_value_exit_1(self, demo_coco, tmp_path, capsys):
+        rc = run_generate(demo_coco, tmp_path / "x.jsonl",
+                          "--set", 'max_questions_per_caption="many"')
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bad config value")
 
     def test_set_overrides_field(self, demo_coco, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from capqa.corpus import CaptionRecord, Corpus, iterate, load_coco, save_coco
+from capqa.corpus import CaptionRecord, Corpus, load_coco, save_coco
 from capqa.errors import EmptyCorpus, MalformedInput
 
 
@@ -99,20 +99,20 @@ def test_iterate_ascending_image_id(tmp_path):
     anns = [{"image_id": i, "caption": f"caption {i}"} for i in (12, 3, 7)]
     p = write_coco(tmp_path, anns)
     corpus = load_coco(p)
-    assert [r.image_id for r in iterate(corpus)] == [3, 7, 12]
+    assert [r.image_id for r in corpus] == [3, 7, 12]
 
 
 def test_iterate_empty():
     corpus = Corpus(records=[], source_path="none")
-    assert list(iterate(corpus)) == []
+    assert list(corpus) == []
 
 
 def test_iterate_repeatable(tmp_path):
     anns = [{"image_id": i, "caption": "x y z"} for i in (4, 2, 9)]
     p = write_coco(tmp_path, anns)
     corpus = load_coco(p)
-    first = [r.image_id for r in iterate(corpus)]
-    second = [r.image_id for r in iterate(corpus)]
+    first = [r.image_id for r in corpus]
+    second = [r.image_id for r in corpus]
     assert first == second
 
 

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 from capqa.lingo import (
     Lexicons,
     analyze,
-    definitize,
-    extract_locations,
     pluralize,
     singularize,
     strip_aux,
@@ -110,38 +108,6 @@ def test_strip_aux_rule_oracle():
             del words[i]
             break
     assert strip_aux(tokens, LEX) == " ".join(words) == "There two cars parked"
-
-
-def test_definitize():
-    _, nps = analyze("a hat", LEX)
-    assert definitize(nps[0]).text == "the hat"
-    _, nps = analyze("the table", LEX)
-    assert definitize(nps[0]).text == "the table"
-    _, nps = analyze("hats", LEX)
-    assert definitize(nps[0]).text == "hats"
-    _, nps = analyze("An apple", LEX)
-    assert definitize(nps[0]).text == "the apple"
-
-
-def test_extract_locations_positive():
-    tokens, nps = analyze("sitting in an empty open field", LEX)
-    assert extract_locations(tokens, nps, LEX) == ["an empty open field"]
-
-
-def test_extract_locations_requires_location_head():
-    tokens, nps = analyze("a man in a red shirt", LEX)
-    assert "shirt" not in LEX.locations
-    assert extract_locations(tokens, nps, LEX) == []
-
-
-def test_extract_locations_requires_in_or_within():
-    tokens, nps = analyze("dog on grass", LEX)
-    assert extract_locations(tokens, nps, LEX) == []
-
-
-def test_extract_locations_within():
-    tokens, nps = analyze("a bench within the park", LEX)
-    assert extract_locations(tokens, nps, LEX) == ["the park"]
 
 
 def test_singularize_rules():

@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord
 from capqa.embed import make_store
-from capqa.errors import Unsupported
-from capqa.lingo import Lexicons, analyze
+from capqa.errors import MalformedInput, Unsupported
+from capqa.lingo import Lexicons, analyze, object_lemma_index
 from capqa.qa import QAPair
 from capqa.qgen import (
-    GenConfig,
     adversarial_qa,
     build_object_vocab,
     gen_color,
@@ -27,6 +27,12 @@ LEX = Lexicons.default()
 
 def ana(caption):
     return analyze(caption, LEX)
+
+
+def lemmas_of(record):
+    """Head lemmas of every caption of the record, as generate computes them."""
+    index, _ = object_lemma_index([record], LEX)
+    return index[record.image_id]
 
 
 def qa_tuples(pairs):
@@ -61,9 +67,12 @@ class TestYesNo:
         )
 
     def test_positive_and_adversarial_negative(self):
-        cfg = GenConfig(seed=0, yesno_prefixes=["is there"], negative_mode="adversarial")
+        cfg = PipelineConfig(seed=0, yesno_prefixes=["is there"], negative_mode="adversarial")
         record = CaptionRecord(image_id=1, captions=[self.CAPTION])
-        pairs = gen_yesno(record, 0, ana(self.CAPTION), self.store(), cfg)
+        store = self.store()
+        pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX, store=store,
+                          object_vocab=set(store.vocab_order),
+                          record_lemmas=lemmas_of(record))
         assert qa_tuples(pairs) == [
             ("Is there a man wearing a hat and sitting?", "yes"),
             ("Is there a dog wearing a hat and sitting?", "no"),
@@ -76,9 +85,9 @@ class TestYesNo:
         assert yes.source_caption == no.source_caption == self.CAPTION
 
     def test_negation_negative_when_no_store(self):
-        cfg = GenConfig(seed=0, yesno_prefixes=["is there"], negative_mode="negation")
+        cfg = PipelineConfig(seed=0, yesno_prefixes=["is there"], negative_mode="negation")
         record = CaptionRecord(image_id=1, captions=[self.CAPTION])
-        pairs = gen_yesno(record, 0, ana(self.CAPTION), None, cfg)
+        pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX)
         assert qa_tuples(pairs) == [
             ("Is there a man wearing a hat and sitting?", "yes"),
             ("Is there no man wearing a hat and sitting?", "no"),
@@ -86,39 +95,42 @@ class TestYesNo:
         assert pairs[1].source == "negation"
 
     def test_auto_mode_always_pairs_one_no(self):
-        cfg = GenConfig(seed=7, negative_mode="auto")
+        cfg = PipelineConfig(seed=7, negative_mode="auto")
         record = CaptionRecord(image_id=3, captions=[self.CAPTION])
-        pairs = gen_yesno(record, 0, ana(self.CAPTION), self.store(), cfg)
+        store = self.store()
+        pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX, store=store,
+                          object_vocab=set(store.vocab_order),
+                          record_lemmas=lemmas_of(record))
         assert len(pairs) == 2
         assert [p.answer for p in pairs] == ["yes", "no"]
 
     def test_plural_subject_gets_plural_prefix(self):
-        cfg = GenConfig(seed=0, yesno_prefixes=["is there"], negative_mode="negation")
+        cfg = PipelineConfig(seed=0, yesno_prefixes=["is there"], negative_mode="negation")
         record = CaptionRecord(image_id=1, captions=["Two dogs are sitting"])
-        pairs = gen_yesno(record, 0, ana("Two dogs are sitting"), None, cfg)
+        pairs = gen_yesno(record, 0, ana("Two dogs are sitting"), cfg, LEX)
         assert pairs[0].question == "Are there two dogs sitting?"
         assert pairs[0].answer == "yes"
 
     def test_the_prefix_drops_leading_article(self):
-        cfg = GenConfig(seed=0, yesno_prefixes=["is the"], negative_mode="negation")
+        cfg = PipelineConfig(seed=0, yesno_prefixes=["is the"], negative_mode="negation")
         record = CaptionRecord(image_id=1, captions=[self.CAPTION])
-        pairs = gen_yesno(record, 0, ana(self.CAPTION), None, cfg)
+        pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX)
         assert pairs[0].question == "Is the man wearing a hat and sitting?"
 
     def test_no_noun_phrase_yields_nothing(self):
-        cfg = GenConfig(seed=0)
+        cfg = PipelineConfig(seed=0)
         record = CaptionRecord(image_id=1, captions=["sitting and waiting"])
-        pairs = gen_yesno(record, 0, ana("sitting and waiting"), None, cfg)
+        pairs = gen_yesno(record, 0, ana("sitting and waiting"), cfg, LEX)
         assert pairs == []
 
     def test_prefix_choice_is_seeded(self):
         record = CaptionRecord(image_id=9, captions=[self.CAPTION])
-        a = gen_yesno(record, 0, ana(self.CAPTION), None, GenConfig(seed=5))
-        b = gen_yesno(record, 0, ana(self.CAPTION), None, GenConfig(seed=5))
+        a = gen_yesno(record, 0, ana(self.CAPTION), PipelineConfig(seed=5), LEX)
+        b = gen_yesno(record, 0, ana(self.CAPTION), PipelineConfig(seed=5), LEX)
         assert qa_tuples(a) == qa_tuples(b)
         seen = set()
         for seed in range(24):
-            out = gen_yesno(record, 0, ana(self.CAPTION), None, GenConfig(seed=seed))
+            out = gen_yesno(record, 0, ana(self.CAPTION), PipelineConfig(seed=seed), LEX)
             seen.add(out[0].question.split(" ")[1])
         assert len(seen) > 1  # more than one prefix is actually reachable
 
@@ -128,7 +140,7 @@ class TestYesNo:
 class TestObject:
     def run(self, caption, image_id=1):
         record = CaptionRecord(image_id=image_id, captions=[caption])
-        return gen_object(record, ana(caption), GenConfig(seed=0))
+        return gen_object(record, 0, ana(caption), LEX)
 
     def test_subject_replacement(self):
         pairs = self.run("bags are set on the sidewalk outside a veterinary hospital")
@@ -184,7 +196,7 @@ NUMBER_FRAMES = ("How many ", "What is the count of ")
 class TestNumber:
     def run(self, caption, seed=0):
         record = CaptionRecord(image_id=1, captions=[caption])
-        return gen_number(record, ana(caption), GenConfig(seed=seed))
+        return gen_number(record, 0, ana(caption), PipelineConfig(seed=seed), LEX)
 
     def test_digit_quantifier_with_trailing_phrase(self):
         pairs = self.run("8 boats anchored by ropes close to shore")
@@ -241,7 +253,7 @@ class TestNumber:
 class TestColor:
     def run(self, caption):
         record = CaptionRecord(image_id=1, captions=[caption])
-        return gen_color(record, ana(caption), GenConfig(seed=0))
+        return gen_color(record, 0, ana(caption))
 
     def test_color_np_mid_caption(self):
         caption = "A girl in a red shirt holding an apple sitting in an empty open field"
@@ -270,7 +282,7 @@ class TestColor:
 class TestLocation:
     def run(self, caption):
         record = CaptionRecord(image_id=1, captions=[caption])
-        return gen_location(record, ana(caption), LEX, GenConfig(seed=0))
+        return gen_location(record, 0, ana(caption), LEX)
 
     def test_verb_before_location(self):
         caption = "A girl in a red shirt holding an apple sitting in an empty open field"
@@ -292,12 +304,27 @@ class TestLocation:
         assert pair.answer == "the kitchen"
         assert pair.answer_type == "location"
 
+    def test_within_counts_as_in(self):
+        assert qa_tuples(self.run("A bench within the park")) == [
+            ("Where is the bench?", "the park")
+        ]
+
+    def test_other_prepositions_ignored(self):
+        assert "grass" in LEX.locations
+        assert self.run("A dog on the grass") == []
+
+    def test_subject_gets_definite_article(self):
+        assert self.run("A hat in the room")[0].question == "Where is the hat?"
+        assert self.run("An apple in the room")[0].question == "Where is the apple?"
+        assert self.run("The table in the room")[0].question == "Where is the table?"
+        assert self.run("Hats in the room")[0].question == "Where are the hats?"
+
 
 # --- negation ---------------------------------------------------------------
 
 class TestNegate:
     def negate(self, pair, seed=0):
-        return negate_qa(pair, ana(pair.source_caption), LEX, GenConfig(seed=seed))
+        return negate_qa(pair, ana(pair.source_caption), LEX, PipelineConfig(seed=seed))
 
     def test_demonstrative(self):
         out = self.negate(make_pair("Is this bread?", "yes", "yesno", "bread"))
@@ -355,8 +382,8 @@ class TestAdversarial:
         )
         pair = make_pair("How many puppies are on the bed?", "two", "number", caption)
         out = adversarial_qa(
-            pair, ana(caption), record, store, {"cat", "bed", "blanket", "puppy"},
-            GenConfig(seed=0),
+            pair, ana(caption), store, {"cat", "bed", "blanket", "puppy"}, lemmas_of(record),
+            PipelineConfig(seed=0),
         )
         assert (out.question, out.answer) == ("How many cats are on the bed?", "none")
         assert out.source == "adversarial"
@@ -375,8 +402,8 @@ class TestAdversarial:
         )
         pair = make_pair("Who is sitting in the boat?", "man", "phrase", caption)
         out = adversarial_qa(
-            pair, ana(caption), record, store,
-            {"dining table", "sofa", "man", "boat"}, GenConfig(seed=0),
+            pair, ana(caption), store,
+            {"dining table", "sofa", "man", "boat"}, lemmas_of(record), PipelineConfig(seed=0),
         )
         assert (out.question, out.answer) == (
             "Who is sitting in the dining table?",
@@ -395,8 +422,8 @@ class TestAdversarial:
         )
         pair = make_pair("How many puppies are on the bed?", "two", "number", captions[0])
         out = adversarial_qa(
-            pair, ana(captions[0]), record, store, {"puppy", "ball", "kitten"},
-            GenConfig(seed=0),
+            pair, ana(captions[0]), store, {"puppy", "ball", "kitten"}, lemmas_of(record),
+            PipelineConfig(seed=0),
         )
         assert out is not None
         sub = out.question.split(" ")[2]
@@ -415,7 +442,8 @@ class TestAdversarial:
         )
         pair = make_pair("Is there a dog?", "yes", "yesno", caption)
         out = adversarial_qa(
-            pair, ana(caption), record, store, {"pencil", "dog"}, GenConfig(seed=0)
+            pair, ana(caption), store, {"pencil", "dog"}, lemmas_of(record),
+            PipelineConfig(seed=0),
         )
         assert out is None
 
@@ -425,7 +453,7 @@ class TestAdversarial:
         store = make_store({"cat": np.array([1.0, 0.0]), "dog": np.array([0.9, 0.1])})
         pair = make_pair("Is there a zebra?", "yes", "yesno", caption)
         out = adversarial_qa(
-            pair, ana(caption), record, store, {"cat", "dog"}, GenConfig(seed=0)
+            pair, ana(caption), store, {"cat", "dog"}, lemmas_of(record), PipelineConfig(seed=0),
         )
         assert out is None
 
@@ -435,7 +463,7 @@ class TestAdversarial:
         store = make_store({"dog": np.array([1.0, 0.0]), "cat": np.array([0.9, 0.1])})
         pair = make_pair("Is there a dog?", "yes", "yesno", caption)
         out = adversarial_qa(
-            pair, ana(caption), record, store, {"cat", "dog"}, GenConfig(seed=0)
+            pair, ana(caption), store, {"cat", "dog"}, lemmas_of(record), PipelineConfig(seed=0),
         )
         assert (out.question, out.answer) == ("Is there a cat?", "no")
         assert out.answer_type == "yesno"
@@ -444,13 +472,13 @@ class TestAdversarial:
 # --- config and shared invariants -------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GenConfig(seed=0, yesno_prefixes=[])
-    with pytest.raises(ValueError):
-        GenConfig(seed=0, adversarial_threshold=1.5)
-    with pytest.raises(ValueError):
-        GenConfig(seed=0, max_questions_per_caption=0)
-    cfg = GenConfig(seed=0)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(seed=0, yesno_prefixes=[])
+    with pytest.raises(MalformedInput):
+        PipelineConfig(seed=0, adversarial_threshold=1.5)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(seed=0, max_questions_per_caption=0)
+    cfg = PipelineConfig(seed=0)
     assert cfg.adversarial_threshold == 0.4
     assert list(cfg.yesno_prefixes) == ["is there", "is this", "is the", "are there"]
 
@@ -483,13 +511,13 @@ FUZZ_CAPTIONS = [
 def all_pairs_for(caption, seed=0):
     record = CaptionRecord(image_id=11, captions=[caption])
     analysis = ana(caption)
-    cfg = GenConfig(seed=seed, negative_mode="negation")
+    cfg = PipelineConfig(seed=seed, negative_mode="negation")
     pairs = []
-    pairs += gen_yesno(record, 0, analysis, None, cfg)
-    pairs += gen_object(record, analysis, cfg)
-    pairs += gen_number(record, analysis, cfg)
-    pairs += gen_color(record, analysis, cfg)
-    pairs += gen_location(record, analysis, LEX, cfg)
+    pairs += gen_yesno(record, 0, analysis, cfg, LEX)
+    pairs += gen_object(record, 0, analysis, LEX)
+    pairs += gen_number(record, 0, analysis, cfg, LEX)
+    pairs += gen_color(record, 0, analysis)
+    pairs += gen_location(record, 0, analysis, LEX)
     return pairs
 
 
@@ -524,7 +552,7 @@ def test_yes_no_balance_per_caption():
     for caption in FUZZ_CAPTIONS * 3:
         record = CaptionRecord(image_id=rng.randrange(1000), captions=[caption])
         analysis = ana(caption)
-        pairs = gen_yesno(record, 0, analysis, None, GenConfig(seed=rng.randrange(1 << 32)))
+        pairs = gen_yesno(record, 0, analysis, PipelineConfig(seed=rng.randrange(1 << 32)), LEX)
         yes += sum(1 for p in pairs if p.answer == "yes")
         no += sum(1 for p in pairs if p.answer == "no")
     assert yes == no

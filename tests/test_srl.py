@@ -7,12 +7,9 @@ import pytest
 from capqa.corpus import CaptionRecord, Corpus
 from capqa.errors import MalformedInput
 from capqa.lingo import Lexicons
-from capqa.qgen import GenConfig
 from capqa.srl import SrlArg, SrlFrame, SrlPredicate, animacy, load_frames, render_qa
 
 LEX = Lexicons.default()
-CFG = GenConfig(seed=0)
-
 GIRL = "A girl in a red shirt holding an apple sitting in an empty open field"
 CARS = "two black cars were parked on the street"
 
@@ -49,18 +46,18 @@ def sit_frame():
 
 class TestRender:
     def test_patient_question_with_generic_agent(self):
-        out = {(p.question, p.answer) for p in render_qa(hold_frame(), CFG)}
+        out = {(p.question, p.answer) for p in render_qa(hold_frame(), LEX)}
         assert ("What is someone holding?", "an apple") in out
 
     def test_agent_question_drops_unqueried_location(self):
-        out = render_qa(sit_frame(), CFG)
+        out = render_qa(sit_frame(), LEX)
         assert [(p.question, p.answer) for p in out] == [
             ("Who is sitting?", "girl in a red shirt holding an apple"),
             ("Where is someone sitting?", "an empty open field"),
         ]
 
     def test_pair_fields(self):
-        (agent_pair, _) = render_qa(sit_frame(), CFG)
+        (agent_pair, _) = render_qa(sit_frame(), LEX)
         assert agent_pair.answer_type == "phrase"
         assert agent_pair.source == "srl"
         assert agent_pair.image_id == 7
@@ -69,7 +66,7 @@ class TestRender:
     def test_past_tense_aux_and_postverbal_patient(self):
         f = frame(CARS, 9, "park", "parked",
                   [("PATIENT", "two black cars"), ("LOCATION", "the street")])
-        assert [(p.question, p.answer) for p in render_qa(f, CFG)] == [
+        assert [(p.question, p.answer) for p in render_qa(f, LEX)] == [
             ("What was parked?", "two black cars"),
             ("Where was parked something?", "the street"),
         ]
@@ -77,36 +74,36 @@ class TestRender:
     def test_progressive_inflection_fallback(self):
         caption = "a man sits on a bench"
         f = frame(caption, 3, "sit", "sits", [("AGENT", "a man")])
-        (pair,) = render_qa(f, CFG)
+        (pair,) = render_qa(f, LEX)
         assert pair.question == "Who is sitting?"
 
     def test_other_role_not_queried(self):
         caption = "a man runs with a dog"
         f = frame(caption, 3, "run", "runs",
                   [("AGENT", "a man"), ("OTHER", "with a dog")])
-        questions = [p.question for p in render_qa(f, CFG)]
+        questions = [p.question for p in render_qa(f, LEX)]
         assert questions == ["Who is running?"]
 
     def test_at_most_one_pair_per_arg(self):
         for f in (hold_frame(), sit_frame()):
-            assert len(render_qa(f, CFG)) <= len(f.args)
+            assert len(render_qa(f, LEX)) <= len(f.args)
 
     def test_wh_word_is_pure_function_of_role(self):
         seen = {}
         for f in (hold_frame(), sit_frame()):
             for arg, pair in zip(
-                [a for a in f.args if a.role != "OTHER"], render_qa(f, CFG)
+                [a for a in f.args if a.role != "OTHER"], render_qa(f, LEX)
             ):
                 wh = pair.question.split(" ")[0]
                 assert seen.setdefault(arg.role, wh) == wh
 
     def test_answers_are_verbatim_caption_substrings(self):
         for f in (hold_frame(), sit_frame()):
-            for pair in render_qa(f, CFG):
+            for pair in render_qa(f, LEX):
                 assert pair.answer in f.caption
 
     def test_qa_ids_unique_across_frames(self):
-        ids = [p.qa_id for f in (hold_frame(), sit_frame()) for p in render_qa(f, CFG)]
+        ids = [p.qa_id for f in (hold_frame(), sit_frame()) for p in render_qa(f, LEX)]
         assert len(ids) == len(set(ids))
 
     def test_no_args_renders_nothing(self):
@@ -115,7 +112,7 @@ class TestRender:
             predicate=SrlPredicate(lemma="sit", span=(0, 3)),
             args=(), caption="sitting",
         )
-        assert render_qa(f, CFG) == []
+        assert render_qa(f, LEX) == []
 
 
 class TestAnimacy:
@@ -172,7 +169,7 @@ def test_load_resolves_and_maps_propbank(tmp_path):
     assert f.caption == GIRL
     assert [a.role for a in f.args] == ["AGENT", "LOCATION"]
     assert ("Where is someone sitting?", "an empty open field") in {
-        (p.question, p.answer) for p in render_qa(f, CFG)
+        (p.question, p.answer) for p in render_qa(f, LEX)
     }
 
 
@@ -256,5 +253,5 @@ def test_second_caption_resolves(tmp_path):
     path = write_frames(tmp_path / "frames.jsonl", [d])
     (f,) = load_frames(path, corpus())
     assert f.caption == CARS
-    (pair,) = render_qa(f, CFG)
+    (pair,) = render_qa(f, LEX)
     assert (pair.question, pair.answer) == ("What was parked?", "two black cars")
