@@ -20,7 +20,7 @@ AUXILIARIES = STOP_AUX | frozenset("has have had do does did".split())
 PREPOSITIONS = frozenset(
     """in on at by with of for to from near under over behind within above below
     beside between against across around through into onto inside outside during
-    without along past beneath upon toward towards off up down amid among beyond""".split()
+    without along past beneath upon toward towards off up down amid among beyond next""".split()
 )
 
 PRONOUNS = frozenset(

@@ -187,6 +187,13 @@ class TestObject:
         pairs = self.run("A woman brushing her hair")
         assert all(p.answer != "hair" for p in pairs)
 
+    def test_next_to_is_a_preposition(self):
+        caption = "Five kunutans resting next to the bike."
+        assert all(p.answer != "next" for p in all_pairs_for(caption))
+        assert ("What are the five kunutans resting next to?", "bike") in qa_tuples(
+            self.run(caption)
+        )
+
 
 # --- number -----------------------------------------------------------------
 
