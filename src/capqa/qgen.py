@@ -137,6 +137,16 @@ def _agree_prefix(prefix: str, plural: bool) -> str:
     return " ".join(words)
 
 
+def _existential(tokens, lex) -> bool:
+    """Caption opens "There is/are ...", the auxiliary strip_aux removes."""
+    return (
+        len(tokens) > 1
+        and tokens[0].text.lower() == "there"
+        and tokens[1].pos == AUX
+        and tokens[1].text.lower() in lex.stop_aux
+    )
+
+
 def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicons, *,
               store: EmbeddingStore = None, object_vocab=(), record_lemmas=frozenset()):
     """One affirmed question plus exactly one paired negative per caption.
@@ -154,6 +164,8 @@ def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicon
     prefix = _agree_prefix(rng.choice(list(cfg.yesno_prefixes)), _is_plural(subject.head))
 
     body_words = lingo.strip_aux(tokens, lex).split(" ")
+    if _existential(tokens, lex):
+        body_words = body_words[1:]  # the prefix supplies its own "there"
     if prefix.endswith("the") and body_words and body_words[0].lower() in _ARTICLES:
         body_words = body_words[1:]
     if body_words and body_words[0]:

@@ -117,6 +117,23 @@ class TestYesNo:
         pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX)
         assert pairs[0].question == "Is the man wearing a hat and sitting?"
 
+    @pytest.mark.parametrize("prefix, question, negated", [
+        ("is there", "Are there four frisbees in the field?",
+         "Are there no four frisbees in the field?"),
+        ("is this", "Are these four frisbees in the field?",
+         "Are these not four frisbees in the field?"),
+        ("is the", "Are the four frisbees in the field?",
+         "Are the four frisbees not in the field?"),
+        ("are there", "Are there four frisbees in the field?",
+         "Are there no four frisbees in the field?"),
+    ], ids=["is_there", "is_this", "is_the", "are_there"])
+    def test_existential_there_dropped(self, prefix, question, negated):
+        caption = "There are four frisbees in the field."
+        cfg = PipelineConfig(seed=0, yesno_prefixes=[prefix], negative_mode="negation")
+        record = CaptionRecord(image_id=1, captions=[caption])
+        pairs = gen_yesno(record, 0, ana(caption), cfg, LEX)
+        assert qa_tuples(pairs) == [(question, "yes"), (negated, "no")]
+
     def test_no_noun_phrase_yields_nothing(self):
         cfg = PipelineConfig(seed=0)
         record = CaptionRecord(image_id=1, captions=["sitting and waiting"])
