@@ -2,10 +2,10 @@
 
 Tokenization, coarse POS tagging, noun-phrase chunking, the small
 transformations question generation needs (auxiliary stripping,
-detokenization), and the per-image head-lemma index. Tagging is closed-lexicon plus suffix
-heuristics with NOUN as the default for unknown content words; captions are
-simple declaratives, so this deliberately trades coverage for determinism
-and zero model dependencies.
+detokenization), and the per-image head-lemma index. Tagging is
+closed-lexicon plus suffix heuristics with NOUN as the default for unknown
+content words; captions are simple declaratives, so this deliberately trades
+coverage for determinism and zero model dependencies.
 """
 
 from __future__ import annotations

@@ -97,6 +97,12 @@ def test_config_validation():
         PipelineConfig(augment_mode="shout")
     with pytest.raises(MalformedInput):
         PipelineConfig(augment_mode="paraphrase", keep_probability=1.5)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(max_variants=-1)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(timeout_s=0)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(batch_size=0)
 
 
 @pytest.mark.parametrize("mode, pivot", [

@@ -502,6 +502,10 @@ def test_config_validation():
         PipelineConfig(seed=0, adversarial_threshold=1.5)
     with pytest.raises(MalformedInput):
         PipelineConfig(seed=0, max_questions_per_caption=0)
+    with pytest.raises(MalformedInput):
+        PipelineConfig(seed=0, negative_mode="bogus")
+    with pytest.raises(MalformedInput):
+        PipelineConfig(seed=0, vocab_limit=0)
     cfg = PipelineConfig(seed=0)
     assert cfg.adversarial_threshold == 0.4
     assert list(cfg.yesno_prefixes) == ["is there", "is this", "is the", "are there"]
