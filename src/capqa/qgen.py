@@ -138,7 +138,7 @@ def _agree_prefix(prefix: str, plural: bool) -> str:
 
 
 def _existential(tokens, lex) -> bool:
-    """Caption opens "There is/are ...", the auxiliary strip_aux removes."""
+    """True when the caption opens "There is/are ..." and strip_aux drops that auxiliary."""
     return (
         len(tokens) > 1
         and tokens[0].text.lower() == "there"
