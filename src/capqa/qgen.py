@@ -148,12 +148,15 @@ def _existential(tokens, lex) -> bool:
 
 
 def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicons, *,
-              store: EmbeddingStore = None, object_vocab=(), record_lemmas=frozenset()):
+              store: EmbeddingStore = None, object_vocab=None, record_lemmas=None):
     """One affirmed question plus exactly one paired negative per caption.
 
     Adversarial negatives need `store`; they draw substitutes from
     `object_vocab` and never from `record_lemmas`, the image's own lemmas.
+    Both are required whenever `store` is given.
     """
+    if store is not None and (object_vocab is None or record_lemmas is None):
+        raise TypeError("gen_yesno with a store needs object_vocab and record_lemmas")
     tokens, nps = analysis
     if not nps:
         return []

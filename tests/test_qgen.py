@@ -104,6 +104,16 @@ class TestYesNo:
         assert len(pairs) == 2
         assert [p.answer for p in pairs] == ["yes", "no"]
 
+    @pytest.mark.parametrize("missing", ["object_vocab", "record_lemmas"])
+    def test_store_without_vocabulary_rejected(self, missing):
+        cfg = PipelineConfig(seed=0, negative_mode="adversarial")
+        record = CaptionRecord(image_id=1, captions=[self.CAPTION])
+        store = self.store()
+        kwargs = {"object_vocab": set(store.vocab_order), "record_lemmas": lemmas_of(record)}
+        del kwargs[missing]
+        with pytest.raises(TypeError, match="object_vocab and record_lemmas"):
+            gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX, store=store, **kwargs)
+
     def test_plural_subject_gets_plural_prefix(self):
         cfg = PipelineConfig(seed=0, yesno_prefixes=["is there"], negative_mode="negation")
         record = CaptionRecord(image_id=1, captions=["Two dogs are sitting"])
@@ -322,6 +332,17 @@ class TestLocation:
 
     def test_non_location_in_phrase_ignored(self):
         assert self.run("A man in a blue jacket") == []
+
+    def test_in_phrase_answer_spans_modifiers(self):
+        (pair,) = self.run("A horse grazing in an empty open field")
+        assert pair.answer == "an empty open field"
+
+    def test_in_phrase_with_non_location_head(self):
+        assert "shirt" not in LEX.locations
+        assert self.run("A man in a red shirt") == []
+        assert qa_tuples(self.run("A man in a red shirt sitting in the park")) == [
+            ("Where is the man sitting?", "the park")
+        ]
 
     def test_answer_keeps_determiner(self):
         (pair,) = self.run("A dog sleeping in the kitchen")
