@@ -11,18 +11,14 @@ head-final contiguous suffixes to keep expansion linear.
 from __future__ import annotations
 
 import itertools
-import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import wordlists as wl
-from .errors import AnswerNotInVocab, EmptyVocab, MalformedInput
-from .lingo import Lexicons, pluralize, singularize
+from .errors import EmptyVocab, MalformedInput
+from .lingo import WORD_RE, Lexicons, pluralize, singularize
 
-log = logging.getLogger(__name__)
-
-_WORD_RE = re.compile(r"\w+(?:['’-]\w+)*")
 _MAX_SUBSEQ_TOKENS = 12
 
 
@@ -40,7 +36,7 @@ class AnswerVocab:
 
 def normalize_answer(answer: str) -> list[str]:
     """Lowercased word tokens with leading determiners removed."""
-    toks = _WORD_RE.findall(answer.lower())
+    toks = WORD_RE.findall(answer.lower())
     while len(toks) > 1 and toks[0] in wl.DETERMINERS:
         toks.pop(0)
     return toks
@@ -149,31 +145,6 @@ def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> AnswerVocab:
         raise EmptyVocab(f"no phrase reached min_count={min_count}")
     kept.sort(key=lambda p: (-counts[p], p))
     return AnswerVocab(phrases=kept, index={p: i for i, p in enumerate(kept)})
-
-
-def swa_target(qa, vocab: AnswerVocab) -> dict[int, float]:
-    """Soft target over vocabulary indices for one weighted pair.
-
-    The full answer must be in vocabulary; sub-phrases outside it are
-    dropped (logged), which only flattens the tail of the target.
-    """
-    weights = qa.weights
-    if not weights:
-        weights = expand_answer(qa.answer, Lexicons.default()).entries
-    full = " ".join(normalize_answer(qa.answer))
-    if full not in vocab.index:
-        raise AnswerNotInVocab(full)
-    target: dict[int, float] = {}
-    dropped = 0
-    for phrase, w in weights:
-        idx = vocab.index.get(phrase)
-        if idx is None:
-            dropped += 1
-            continue
-        target[idx] = float(w)
-    if dropped:
-        log.debug("dropped %d out-of-vocabulary sub-phrases for %s", dropped, qa.qa_id)
-    return target
 
 
 _VOCAB_HEADER = re.compile(r"#capqa-vocab v1 count=(\d+)$")

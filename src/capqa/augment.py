@@ -20,13 +20,12 @@ import requests
 
 from .config import AUGMENT_MODES, PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
-from .lingo import singularize
+from .lingo import WORD_RE, singularize
 from .qa import QAPair, derived_qa_id
 from .rng import stream
 
 _PIVOTS = ("fr", "de", "es")
 
-_WORD_RE = re.compile(r"\w+(?:['’-]\w+)*")
 
 
 @dataclass(frozen=True)
@@ -197,8 +196,8 @@ def _resolve_backend(rewriter, cfg):
 def _mentions(text: str, answer: str) -> bool:
     """True when the answer occurs in the text as a contiguous token run or
     via its head lemma."""
-    t = _WORD_RE.findall(text.lower())
-    a = _WORD_RE.findall(answer.lower())
+    t = WORD_RE.findall(text.lower())
+    a = WORD_RE.findall(answer.lower())
     if not a:
         return False
     n = len(a)

@@ -47,7 +47,7 @@ from .qgen import (
 )
 from .rng import stream
 from .srl import load_frames, render_qa
-from .stats import export_embeddings, report
+from .stats import StatsAccumulator, export_embeddings, report
 
 log = logging.getLogger(__name__)
 
@@ -74,8 +74,9 @@ class _Context:
         self.cfg = cfg
         self.lex = _lexicons(cfg)
         self.corpus = load_coco(require_file(cfg.captions, "--captions"))
-        self.lemma_index, counts = object_lemma_index(self.corpus.records, self.lex)
         if cfg.vectors:
+            # only the adversarial search reads the head lemmas and their counts
+            self.lemma_index, counts = object_lemma_index(self.corpus.records, self.lex)
             self.store = load_vectors(require_file(cfg.vectors, "--vectors"))
             self.object_vocab = build_object_vocab(counts, cfg.vocab_limit)
         else:
@@ -83,6 +84,7 @@ class _Context:
                 raise MalformedInput(
                     "negative_mode 'adversarial' needs an embedding file (--vectors)"
                 )
+            self.lemma_index = {}
             self.store = None
             self.object_vocab = None
         self.frames_by_image = {}
@@ -102,7 +104,8 @@ def _ensure_weights(qa, lex) -> None:
 
 
 def _record_pairs(record, ctx: _Context) -> list:
-    """Every enabled generator over one record's captions, weights filled."""
+    """Every enabled generator over one record's captions, weights filled,
+    sorted by qa_id."""
     out = []
     cfg, lex = ctx.cfg, ctx.lex
     gens = cfg.generators
@@ -115,7 +118,7 @@ def _record_pairs(record, ctx: _Context) -> list:
                 record, idx, analysis, cfg, lex,
                 store=ctx.store,
                 object_vocab=ctx.object_vocab,
-                record_lemmas=ctx.lemma_index[record.image_id],
+                record_lemmas=ctx.lemma_index.get(record.image_id),
             )
         if "object" in gens:
             rest.extend(gen_object(record, idx, analysis, lex))
@@ -133,25 +136,21 @@ def _record_pairs(record, ctx: _Context) -> list:
             out.extend(render_qa(frame, lex))
     for qa in out:
         _ensure_weights(qa, lex)
+    out.sort(key=lambda qa: qa.qa_id)
     return out
 
 
-# worker processes rebuild the context once from config values
+# worker processes get the parent's context once, at start-up
 _WORKER_CTX = None
 
 
-def _init_worker(cfg_values: dict) -> None:
+def _init_worker(ctx: _Context) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = _Context(PipelineConfig(**cfg_values))
+    _WORKER_CTX = ctx
 
 
-def _gen_chunk(records: list) -> list:
-    return [qa for record in records for qa in _record_pairs(record, _WORKER_CTX)]
-
-
-def _chunked(items: list, workers: int) -> list:
-    size = max(1, -(-len(items) // (workers * 4)))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _worker_pairs(record) -> list:
+    return _record_pairs(record, _WORKER_CTX)
 
 
 # --- output plumbing --------------------------------------------------------------
@@ -197,23 +196,29 @@ def _cmd_generate(args) -> int:
         raise MalformedInput("generator 'srl' needs a frame file (--srl-frames)")
     ctx = _Context(cfg)
     records = ctx.corpus.records
+    acc = StatsAccumulator()
+
+    def rows(per_record):
+        # records come in ascending image_id, each sorted by qa_id
+        for pairs in per_record:
+            for qa in pairs:
+                acc.add(qa)
+                yield qa
+
     if cfg.workers == 1:
-        pairs = [qa for record in records for qa in _record_pairs(record, ctx)]
+        per_record = (_record_pairs(record, ctx) for record in records)
+        count = _atomic_write(args.out, lambda p: write_jsonl(rows(per_record), p))
     else:
-        chunks = _chunked(records, cfg.workers)
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_init_worker,
-            initargs=(cfg.to_json_dict(),),
+            initargs=(ctx,),
         ) as pool:
-            pairs = [qa for chunk in pool.map(_gen_chunk, chunks) for qa in chunk]
-    pairs.sort(key=lambda qa: (qa.image_id, qa.qa_id))
-    count = _atomic_write(args.out, lambda p: write_jsonl(pairs, p))
+            chunksize = max(1, -(-len(records) // (cfg.workers * 4)))
+            per_record = pool.map(_worker_pairs, records, chunksize=chunksize)
+            count = _atomic_write(args.out, lambda p: write_jsonl(rows(per_record), p))
     _write_run_manifest(args.out, "generate", cfg, {"pairs": count})
-    if pairs:
-        _emit(report(pairs).to_json_dict())
-    else:
-        _emit({"total": 0})
+    _emit(acc.report().to_json_dict() if count else {"total": 0})
     return 0
 
 

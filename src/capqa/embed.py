@@ -8,15 +8,13 @@ mean pooling); the store is a plain dict so lookups stay trivial.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedInput, UnknownWord, ZeroVector
+from .lingo import WORD_RE
 
-_WORD_RE = re.compile(r"\w+(?:['’-]\w+)*")
 
 
 @dataclass
@@ -52,7 +50,7 @@ def make_store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
     return EmbeddingStore(dim=dim, vectors=arrays, vocab_order=order)
 
 
-def load_vectors(path, limit=None) -> EmbeddingStore:
+def load_vectors(path) -> EmbeddingStore:
     vectors: dict[str, np.ndarray] = {}
     order: list[str] = []
     dim = None
@@ -80,8 +78,6 @@ def load_vectors(path, limit=None) -> EmbeddingStore:
                 continue
             vectors[word] = arr
             order.append(word)
-            if limit is not None and len(order) >= limit:
-                break
     if not vectors:
         raise MalformedInput(f"no vectors in {path}")
     return EmbeddingStore(dim=int(dim), vectors=vectors, vocab_order=order)
@@ -141,7 +137,7 @@ def mean_pool(text: str, store: EmbeddingStore) -> np.ndarray:
     """
     total = np.zeros(store.dim, dtype=np.float64)
     count = 0
-    for tok in _WORD_RE.findall(text.lower()):
+    for tok in WORD_RE.findall(text.lower()):
         vec = store.vectors.get(tok)
         if vec is not None:
             total += vec

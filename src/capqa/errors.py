@@ -33,10 +33,6 @@ class EmptyVocab(CapqaError):
     """No phrase met the vocabulary frequency threshold."""
 
 
-class AnswerNotInVocab(CapqaError):
-    """The full answer itself is missing from the answer vocabulary."""
-
-
 class EmptyStream(CapqaError):
     """Statistics requested over an empty pair stream."""
 

@@ -32,10 +32,10 @@ ADP = "ADP"
 PRON = "PRON"
 OTHER = "OTHER"
 
-# word runs (apostrophes/hyphens glued) or any single non-word non-space char
-_TOKEN_RE = re.compile(r"\w+(?:['’-]\w+)*|[^\w\s]")
-
-_DIGIT_TO_WORD = {d: w for w, d in wl.NUMBER_WORDS.items()}
+# a word run, with inner apostrophes and hyphens glued in
+WORD_RE = re.compile(r"\w+(?:['’-]\w+)*")
+# word runs or any single non-word non-space char
+_TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
 _SINGULAR_TO_PLURAL = {s: p for p, s in wl.IRREGULAR_PLURALS.items()}
 
 

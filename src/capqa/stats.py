@@ -60,8 +60,7 @@ class DatasetReport:
 
 @dataclass
 class StatsAccumulator:
-    """Streaming counters; parts built over disjoint streams merge into the
-    same report a single pass would produce."""
+    """Streaming counters behind one report, fed one pair at a time."""
 
     count: int = 0
     question_tokens: int = 0
@@ -89,19 +88,6 @@ class StatsAccumulator:
             if _normalize_answer(pair.answer) == "yes":
                 self.yes_count += 1
         self.answers.add(_normalize_answer(pair.answer))
-
-    def merge(self, other: "StatsAccumulator") -> "StatsAccumulator":
-        self.count += other.count
-        self.question_tokens += other.question_tokens
-        self.answer_tokens += other.answer_tokens
-        self.source_counts += other.source_counts
-        self.source_question_tokens += other.source_question_tokens
-        self.source_answer_tokens += other.source_answer_tokens
-        self.type_counts += other.type_counts
-        self.yesno_count += other.yesno_count
-        self.yes_count += other.yes_count
-        self.answers |= other.answers
-        return self
 
     def report(self) -> DatasetReport:
         if self.count == 0:

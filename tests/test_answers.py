@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capqa.answers import (
-    AnswerVocab,
     build_vocab,
     expand_answer,
     load_vocab_file,
     normalize_answer,
     save_vocab_file,
-    swa_target,
 )
-from capqa.errors import AnswerNotInVocab, EmptyVocab
+from capqa.errors import EmptyVocab
 from capqa.lingo import Lexicons
 from capqa.qa import QAPair
 
@@ -171,37 +169,6 @@ def make_pair(answer, i, weights=None, answer_type="object"):
 def weighted_pair(answer, i=0):
     ws = expand_answer(answer, LEX)
     return make_pair(answer, i, weights=list(ws.entries))
-
-
-def test_swa_target_all_nine_present():
-    vocab = build_vocab([weighted_pair("two black cars")], min_count=1, lex=LEX)
-    qa = weighted_pair("two black cars")
-    target = swa_target(qa, vocab)
-    assert len(target) == 9
-    full_idx = vocab.index["two black cars"]
-    assert target[full_idx] == pytest.approx(1.0)
-
-
-def test_swa_target_missing_phrase_dropped():
-    vocab = build_vocab([weighted_pair("two black cars")], min_count=1, lex=LEX)
-    drop = vocab.phrases.index("2 cars")
-    reduced = AnswerVocab(
-        phrases=[p for p in vocab.phrases if p != "2 cars"],
-        index={},
-    )
-    reduced = AnswerVocab(
-        phrases=reduced.phrases,
-        index={p: i for i, p in enumerate(reduced.phrases)},
-    )
-    target = swa_target(weighted_pair("two black cars"), reduced)
-    assert len(target) == 8
-    assert drop is not None
-
-
-def test_swa_target_full_answer_missing_is_error():
-    vocab = build_vocab([weighted_pair("dog")], min_count=1, lex=LEX)
-    with pytest.raises(AnswerNotInVocab):
-        swa_target(weighted_pair("two black cars"), vocab)
 
 
 def test_vocab_file_round_trip(tmp_path):

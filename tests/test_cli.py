@@ -43,8 +43,29 @@ def demo_coco(tmp_path):
     return write_coco(tmp_path / "captions.json", records)
 
 
+@pytest.fixture()
+def srl_frames(tmp_path):
+    frame = {
+        "image_id": 3,
+        "caption_index": 0,
+        "predicate": {"lemma": "hold", "span": [2, 3]},
+        "args": [
+            {"role": "AGENT", "text": "woman", "span": [1, 2]},
+            {"role": "PATIENT", "text": "a phone", "span": [3, 5]},
+        ],
+    }
+    path = tmp_path / "frames.jsonl"
+    path.write_text(json.dumps(frame) + "\n")
+    return str(path)
+
+
 def run_generate(coco, out, *extra) -> int:
     return main(["generate", "--captions", coco, "--out", str(out), *extra])
+
+
+def adversarial_srl_args(vectors_path, srl_frames) -> tuple:
+    return ("--vectors", vectors_path, "--srl-frames", srl_frames,
+            "--negative-mode", "adversarial")
 
 
 # --- config resolution -------------------------------------------------------
@@ -133,12 +154,55 @@ class TestGenerate:
         run_generate(demo_coco, b, "--seed", "5")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_never_changes_bytes(self, demo_coco, tmp_path):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run_generate(demo_coco, a, "--seed", "5", "--workers", "1")
-        run_generate(demo_coco, b, "--seed", "5", "--workers", "3")
-        assert a.read_bytes() == b.read_bytes()
+    @staticmethod
+    def outputs_at_worker_counts(coco, tmp_path, capsys, *extra) -> list:
+        """(file bytes, stdout) of the same run at 1 and at 3 workers."""
+        outputs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert run_generate(coco, out, "--seed", "5", "--workers", workers, *extra) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        return outputs
+
+    def test_worker_count_never_changes_bytes(self, demo_coco, tmp_path, capsys):
+        one, three = self.outputs_at_worker_counts(demo_coco, tmp_path, capsys)
+        assert one == three
+
+    def test_worker_count_never_changes_bytes_adversarial_srl(
+        self, demo_coco, vectors_path, srl_frames, tmp_path, capsys
+    ):
+        one, three = self.outputs_at_worker_counts(
+            demo_coco, tmp_path, capsys, *adversarial_srl_args(vectors_path, srl_frames)
+        )
+        assert one == three
+        sources = {json.loads(line)["source"] for line in one[0].splitlines()}
+        assert {"adversarial", "srl"} <= sources
+
+    def test_printed_report_equals_stats_of_written_file(self, demo_coco, tmp_path, capsys):
+        out = tmp_path / "qa.jsonl"
+        assert run_generate(demo_coco, out, "--seed", "5") == 0
+        printed = capsys.readouterr().out
+        assert main(["stats", "--in", str(out)]) == 0
+        assert printed == capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_generator_failure_leaves_nothing(self, demo_coco, tmp_path, capsys,
+                                              monkeypatch, workers):
+        import capqa.cli
+
+        real = capqa.cli.gen_color
+
+        def fail_on_last_record(record, *args):
+            if record.image_id == 3:
+                raise MalformedInput("synthetic failure on image 3")
+            return real(record, *args)
+
+        # patched before the pool starts, so forked workers inherit it
+        monkeypatch.setattr(capqa.cli, "gen_color", fail_on_last_record)
+        out = tmp_path / "qa.jsonl"
+        assert run_generate(demo_coco, out, "--workers", workers) == 1
+        assert "synthetic failure on image 3" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["captions.json"]
 
     def test_seed_changes_output(self, corpus_1000_path, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -203,26 +267,9 @@ class TestGenerate:
         assert rc == 1
         assert "--srl-frames" in capsys.readouterr().err
 
-    def test_srl_frames_produce_pairs(self, demo_coco, tmp_path):
-        frames = tmp_path / "frames.jsonl"
-        frames.write_text(
-            json.dumps(
-                {
-                    "image_id": 3,
-                    "caption_index": 0,
-                    "predicate": {"lemma": "hold", "span": [2, 3]},
-                    "args": [
-                        {"role": "AGENT", "text": "woman", "span": [1, 2]},
-                        {"role": "PATIENT", "text": "a phone", "span": [3, 5]},
-                    ],
-                }
-            )
-            + "\n"
-        )
+    def test_srl_frames_produce_pairs(self, demo_coco, srl_frames, tmp_path):
         out = tmp_path / "qa.jsonl"
-        rc = run_generate(
-            demo_coco, out, "--srl-frames", str(frames), "--seed", "2"
-        )
+        rc = run_generate(demo_coco, out, "--srl-frames", srl_frames, "--seed", "2")
         assert rc == 0
         srl_pairs = [qa for qa in read_jsonl(out) if qa.source == "srl"]
         assert len(srl_pairs) == 2
@@ -243,6 +290,24 @@ class TestGenerate:
         pairs = list(read_jsonl(out))
         yesno = [qa for qa in pairs if qa.answer_type == "yesno"]
         assert sum(1 for qa in yesno if qa.answer == "yes") * 2 == len(yesno)
+
+    def test_pickled_context_gives_same_rows(self, demo_coco, vectors_path, srl_frames):
+        import pickle
+
+        from capqa.cli import _Context, _record_pairs
+        from capqa.qa import qa_json_line
+
+        cfg = PipelineConfig(captions=demo_coco, vectors=vectors_path,
+                             srl_frames=srl_frames, negative_mode="adversarial", seed=5)
+        ctx = _Context(cfg)
+        copy = pickle.loads(pickle.dumps(ctx))
+
+        def lines(context):
+            return [qa_json_line(qa) for record in context.corpus.records
+                    for qa in _record_pairs(record, context)]
+
+        assert lines(copy) == lines(ctx)
+        assert any('"source": "adversarial"' in line for line in lines(ctx))
 
 
 # --- downstream stages ---------------------------------------------------------

@@ -39,14 +39,6 @@ def test_load_vectors_inconsistent_dim(tmp_path):
         load_vectors(p)
 
 
-def test_load_vectors_limit_keeps_head_of_file(tmp_path):
-    lines = [f"w{i} {i}.0 1.0" for i in range(10)]
-    p = tmp_path / "vecs.txt"
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    store = load_vectors(p, limit=4)
-    assert store.vocab_order == ["w0", "w1", "w2", "w3"]
-
-
 def test_load_vectors_lowercases_keeps_first(tmp_path):
     p = tmp_path / "vecs.txt"
     p.write_text("Cat 1.0 0.0\ncat 0.0 1.0\n", encoding="utf-8")

@@ -94,19 +94,6 @@ class TestReport:
 
 
 class TestMerge:
-    def test_merge_equals_single_pass(self, ten_pairs):
-        whole = report(ten_pairs)
-        for split in (3, 5, 7):
-            left = StatsAccumulator()
-            right = StatsAccumulator()
-            for p in ten_pairs[:split]:
-                left.add(p)
-            for p in ten_pairs[split:]:
-                right.add(p)
-            left.merge(right)
-            merged = left.report()
-            assert merged == whole
-
     def test_counts_add_over_disjoint_streams(self, ten_pairs):
         a = report(ten_pairs[:4])
         b = report(ten_pairs[4:])
