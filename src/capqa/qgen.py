@@ -309,7 +309,7 @@ def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexico
         if how_many:
             if not content:
                 body = f"how many {rest} are there"
-            elif len(content) == 1 and content[0].pos == VERB:
+            elif content[0].pos == VERB and content[0].lemma.endswith(("ing", "ed")):
                 body = f"how many {rest} are {_words(post)}"
             else:
                 body = f"how many {rest} {_words(post)}"

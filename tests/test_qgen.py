@@ -238,7 +238,7 @@ class TestNumber:
         q, a = pairs[0].question, pairs[0].answer
         assert a == "8"
         assert q in {
-            "How many boats anchored by ropes close to shore?",
+            "How many boats are anchored by ropes close to shore?",
             "What is the count of boats anchored by ropes close to shore?",
         }
 
@@ -252,6 +252,16 @@ class TestNumber:
             "What is the count of black cars parked?",
         }
         assert pairs[0].answer_type == "number"
+
+    @pytest.mark.parametrize("caption, how_many", [
+        ("Two men sitting on a bench", "How many men are sitting on a bench?"),
+        ("Three horses grazing in a field", "How many horses are grazing in a field?"),
+        ("Two dogs play", "How many dogs play?"),
+        ("Two men sat on a bench", "How many men sat on a bench?"),
+    ])
+    def test_how_many_copula_only_before_participle(self, caption, how_many):
+        questions = {self.run(caption, seed)[0].question for seed in range(20)}
+        assert how_many in questions
 
     def test_one_pair_per_quantified_np(self):
         pairs = self.run("two dogs and three cats")
