@@ -27,7 +27,6 @@ from .rng import stream
 _PIVOTS = ("fr", "de", "es")
 
 
-
 @dataclass(frozen=True)
 class RewriteRequest:
     request_id: str

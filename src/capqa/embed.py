@@ -16,7 +16,6 @@ from .errors import MalformedInput, UnknownWord, ZeroVector
 from .lingo import WORD_RE
 
 
-
 @dataclass
 class EmbeddingStore:
     dim: int

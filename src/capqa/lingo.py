@@ -36,6 +36,7 @@ OTHER = "OTHER"
 WORD_RE = re.compile(r"\w+(?:['’-]\w+)*")
 # word runs or any single non-word non-space char
 _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
+
 _SINGULAR_TO_PLURAL = {s: p for p, s in wl.IRREGULAR_PLURALS.items()}
 
 

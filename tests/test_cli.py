@@ -63,11 +63,6 @@ def run_generate(coco, out, *extra) -> int:
     return main(["generate", "--captions", coco, "--out", str(out), *extra])
 
 
-def adversarial_srl_args(vectors_path, srl_frames) -> tuple:
-    return ("--vectors", vectors_path, "--srl-frames", srl_frames,
-            "--negative-mode", "adversarial")
-
-
 # --- config resolution -------------------------------------------------------
 
 
@@ -154,28 +149,19 @@ class TestGenerate:
         run_generate(demo_coco, b, "--seed", "5")
         assert a.read_bytes() == b.read_bytes()
 
-    @staticmethod
-    def outputs_at_worker_counts(coco, tmp_path, capsys, *extra) -> list:
-        """(file bytes, stdout) of the same run at 1 and at 3 workers."""
-        outputs = []
-        for workers in ("1", "3"):
-            out = tmp_path / f"w{workers}.jsonl"
-            assert run_generate(coco, out, "--seed", "5", "--workers", workers, *extra) == 0
-            outputs.append((out.read_bytes(), capsys.readouterr().out))
-        return outputs
-
-    def test_worker_count_never_changes_bytes(self, demo_coco, tmp_path, capsys):
-        one, three = self.outputs_at_worker_counts(demo_coco, tmp_path, capsys)
-        assert one == three
-
-    def test_worker_count_never_changes_bytes_adversarial_srl(
-        self, demo_coco, vectors_path, srl_frames, tmp_path, capsys
-    ):
-        one, three = self.outputs_at_worker_counts(
-            demo_coco, tmp_path, capsys, *adversarial_srl_args(vectors_path, srl_frames)
-        )
-        assert one == three
-        sources = {json.loads(line)["source"] for line in one[0].splitlines()}
+    def test_worker_count_never_changes_bytes(self, demo_coco, vectors_path, srl_frames,
+                                              tmp_path, capsys):
+        adversarial_srl = ("--vectors", vectors_path, "--srl-frames", srl_frames,
+                           "--negative-mode", "adversarial")
+        for extra in ((), adversarial_srl):
+            outputs = []
+            for workers in ("1", "3"):
+                out = tmp_path / f"w{workers}.jsonl"
+                assert run_generate(demo_coco, out, "--seed", "5", "--workers", workers,
+                                    *extra) == 0
+                outputs.append((out.read_bytes(), capsys.readouterr().out))
+            assert outputs[0] == outputs[1]
+        sources = {json.loads(line)["source"] for line in outputs[0][0].splitlines()}
         assert {"adversarial", "srl"} <= sources
 
     def test_printed_report_equals_stats_of_written_file(self, demo_coco, tmp_path, capsys):
