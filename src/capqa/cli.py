@@ -31,7 +31,7 @@ from .config import (
     resolve,
 )
 from .corpus import load_coco
-from .embed import load_vectors
+from .embed import Candidates, load_vectors
 from .errors import BadDims, CapqaError, MalformedInput
 from .lingo import Lexicons, analyze, object_lemma_index
 from .patches import pyramid, write_manifest
@@ -78,7 +78,8 @@ class _Context:
             # only the adversarial search reads the head lemmas and their counts
             self.lemma_index, counts = object_lemma_index(self.corpus.records, self.lex)
             self.store = load_vectors(require_file(cfg.vectors, "--vectors"))
-            self.object_vocab = build_object_vocab(counts, cfg.vocab_limit)
+            self.object_vocab = Candidates(self.store,
+                                           build_object_vocab(counts, cfg.vocab_limit))
         else:
             if cfg.negative_mode == "adversarial":
                 raise MalformedInput(

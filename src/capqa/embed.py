@@ -2,8 +2,9 @@
 
 Vectors load from the plain-text format used by GloVe releases: one word
 per line followed by whitespace-separated floats. Only the operations the
-pipeline needs are provided (cosine, top-k scan over a candidate set,
-mean pooling); the store is a plain dict so lookups stay trivial.
+pipeline needs are provided (a candidate table built once per run, a top-k
+query against it, mean pooling); the store is a plain dict so lookups stay
+trivial.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInput, UnknownWord, ZeroVector
-from .lingo import WORD_RE
+from .lingo import WORD_RE, singularize
 
 
 @dataclass
@@ -89,43 +90,68 @@ def _vector(word: str, store: EmbeddingStore) -> np.ndarray:
     return vec
 
 
-def cosine(a: str, b: str, store: EmbeddingStore) -> float:
-    va = _vector(a, store)
-    vb = _vector(b, store)
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector(a if na == 0.0 else b)
-    return float(np.dot(va, vb)) / (na * nb)
+class Candidates:
+    """Candidate words stacked once so each `nearest` query is one mat-vec.
+
+    Rows are the words that are in the store with a non-zero vector,
+    lowercased, deduplicated and in lexicographic order, so the first of
+    equal scores is the lexicographically smallest word. `postings` maps the
+    singular of each space-separated part of a word to the rows holding it.
+    """
+
+    __slots__ = ("words", "matrix", "norms", "rows", "postings")
+
+    def __init__(self, store: EmbeddingStore, words):
+        self.words = []
+        norms = []
+        for word in sorted({w.lower() for w in words}):
+            vec = store.vectors.get(word)
+            if vec is None:
+                continue
+            norm = float(np.linalg.norm(vec))
+            if norm == 0.0:
+                continue
+            self.words.append(word)
+            norms.append(norm)
+        self.matrix = np.zeros((len(self.words), store.dim), dtype=np.float64)
+        for row, word in enumerate(self.words):
+            self.matrix[row] = store.vectors[word]
+        self.norms = np.array(norms, dtype=np.float64)
+        self.rows = {word: row for row, word in enumerate(self.words)}
+        self.postings = {}
+        for row, word in enumerate(self.words):
+            for part in word.split(" "):
+                self.postings.setdefault(singularize(part), []).append(row)
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
-def nearest(word: str, store: EmbeddingStore, candidates, exclude=(), k=1):
-    """Top-k candidates by cosine similarity to `word`.
+def nearest(word: str, store: EmbeddingStore, candidates: Candidates, exclude=(), k=1,
+            lemmas=()):
+    """Top-k rows of `candidates` by cosine similarity to `word`.
 
-    Candidates missing from the store or with zero vectors are skipped, as
-    are `word` itself and anything in `exclude`. Ties break lexicographically
-    so results never depend on set iteration order.
+    Skipped: `word` itself, the words in `exclude`, and every row with a part
+    whose singular is in `lemmas`. Ties break lexicographically.
     """
     query = _vector(word.lower(), store)
     qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0:
         raise ZeroVector(word)
-    excluded = {w.lower() for w in exclude}
-    excluded.add(word.lower())
-    scored = []
-    for cand in sorted({c.lower() for c in candidates}):
-        if cand in excluded:
-            continue
-        vec = store.vectors.get(cand)
-        if vec is None:
-            continue
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            continue
-        score = float(np.dot(query, vec)) / (qnorm * norm)
-        scored.append((-score, cand))
-    scored.sort()
-    return [(cand, -neg) for neg, cand in scored[:k]]
+    keep = np.ones(len(candidates), dtype=bool)
+    for lemma in lemmas:
+        rows = candidates.postings.get(lemma)
+        if rows:
+            keep[rows] = False
+    for w in (word, *exclude):
+        row = candidates.rows.get(w.lower())
+        if row is not None:
+            keep[row] = False
+    kept = np.flatnonzero(keep)
+    scores = (candidates.matrix @ query)[kept] / (qnorm * candidates.norms[kept])
+    # stable, over rows in lexicographic order: equal scores keep word order
+    top = np.argsort(-scores, kind="stable")[:k]
+    return [(candidates.words[kept[i]], float(scores[i])) for i in top]
 
 
 def mean_pool(text: str, store: EmbeddingStore) -> np.ndarray:

@@ -152,7 +152,8 @@ def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicon
     """One affirmed question plus exactly one paired negative per caption.
 
     Adversarial negatives need `store`; they draw substitutes from
-    `object_vocab` and never from `record_lemmas`, the image's own lemmas.
+    `object_vocab`, an `embed.Candidates` table, and never from
+    `record_lemmas`, the image's own lemmas.
     Both are required whenever `store` is given.
     """
     if store is not None and (object_vocab is None or record_lemmas is None):
@@ -461,7 +462,8 @@ def adversarial_qa(qa: QAPair, analysis, store: EmbeddingStore, object_vocab,
                    record_lemmas, cfg: PipelineConfig):
     """Swap one mentioned object for a near neighbour absent from the image.
 
-    `record_lemmas` holds the head lemmas of every caption of the image (see
+    `object_vocab` is the run's `embed.Candidates` table. `record_lemmas`
+    holds the head lemmas of every caption of the image (see
     lingo.object_lemma_index); no substitute may share one of them. Returns
     None when the question names no storable object, no candidate clears the
     similarity threshold, or the answer type has no remap.
@@ -483,12 +485,9 @@ def adversarial_qa(qa: QAPair, analysis, store: EmbeddingStore, object_vocab,
         return None
     surface, word = target
 
-    def absent(candidate: str) -> bool:
-        return all(lingo.singularize(w) not in record_lemmas for w in candidate.split(" "))
-
-    candidates = {c for c in object_vocab if absent(c)}
     try:
-        hits = nearest(word, store, candidates, exclude=record_lemmas | {surface, word})
+        hits = nearest(word, store, object_vocab, exclude=record_lemmas | {surface, word},
+                       lemmas=record_lemmas)
     except ZeroVector:
         return None
     if not hits or hits[0][1] < cfg.adversarial_threshold:

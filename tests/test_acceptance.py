@@ -15,7 +15,7 @@ from capqa.augment import builtin_rewrite
 from capqa.cli import main
 from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord, load_coco
-from capqa.embed import make_store
+from capqa.embed import Candidates, make_store
 from capqa.lingo import Lexicons, analyze, object_lemma_index
 from capqa.patches import pyramid
 from capqa.pretrain import itm_pairs, mlm_mask, mqa_mask
@@ -83,7 +83,7 @@ def test_criterion_1_golden_examples():
         cfg = PipelineConfig(seed=0, yesno_prefixes=["is there"], negative_mode="adversarial")
         record = CaptionRecord(image_id=1, captions=[caption])
         pairs = gen_yesno(record, 0, analyze(caption, LEX), cfg, LEX, store=store,
-                          object_vocab=set(store.vocab_order),
+                          object_vocab=Candidates(store, store.vocab_order),
                           record_lemmas=object_lemma_index([record], LEX)[0][1])
         assert norm_pairs(pairs) == [
             ("is there a man wearing a hat and sitting?", "yes"),
@@ -137,7 +137,7 @@ def test_criterion_1_golden_examples():
         )
         swapped = adversarial_qa(
             count_q, analyze(pup_caption, LEX), pup_store,
-            {"cat", "bed", "blanket", "puppy"},
+            Candidates(pup_store, {"cat", "bed", "blanket", "puppy"}),
             object_lemma_index([pup_record], LEX)[0][1], PipelineConfig(seed=0),
         )
         assert (norm(swapped.question), swapped.answer) == (

@@ -7,7 +7,7 @@ import pytest
 
 from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord
-from capqa.embed import make_store
+from capqa.embed import Candidates, make_store
 from capqa.errors import MalformedInput, Unsupported
 from capqa.lingo import Lexicons, analyze, object_lemma_index
 from capqa.qa import QAPair
@@ -71,7 +71,7 @@ class TestYesNo:
         record = CaptionRecord(image_id=1, captions=[self.CAPTION])
         store = self.store()
         pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX, store=store,
-                          object_vocab=set(store.vocab_order),
+                          object_vocab=Candidates(store, store.vocab_order),
                           record_lemmas=lemmas_of(record))
         assert qa_tuples(pairs) == [
             ("Is there a man wearing a hat and sitting?", "yes"),
@@ -99,7 +99,7 @@ class TestYesNo:
         record = CaptionRecord(image_id=3, captions=[self.CAPTION])
         store = self.store()
         pairs = gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX, store=store,
-                          object_vocab=set(store.vocab_order),
+                          object_vocab=Candidates(store, store.vocab_order),
                           record_lemmas=lemmas_of(record))
         assert len(pairs) == 2
         assert [p.answer for p in pairs] == ["yes", "no"]
@@ -109,7 +109,8 @@ class TestYesNo:
         cfg = PipelineConfig(seed=0, negative_mode="adversarial")
         record = CaptionRecord(image_id=1, captions=[self.CAPTION])
         store = self.store()
-        kwargs = {"object_vocab": set(store.vocab_order), "record_lemmas": lemmas_of(record)}
+        kwargs = {"object_vocab": Candidates(store, store.vocab_order),
+                  "record_lemmas": lemmas_of(record)}
         del kwargs[missing]
         with pytest.raises(TypeError, match="object_vocab and record_lemmas"):
             gen_yesno(record, 0, ana(self.CAPTION), cfg, LEX, store=store, **kwargs)
@@ -437,7 +438,8 @@ class TestAdversarial:
         )
         pair = make_pair("How many puppies are on the bed?", "two", "number", caption)
         out = adversarial_qa(
-            pair, ana(caption), store, {"cat", "bed", "blanket", "puppy"}, lemmas_of(record),
+            pair, ana(caption), store, Candidates(store, {"cat", "bed", "blanket", "puppy"}),
+            lemmas_of(record),
             PipelineConfig(seed=0),
         )
         assert (out.question, out.answer) == ("How many cats are on the bed?", "none")
@@ -458,7 +460,8 @@ class TestAdversarial:
         pair = make_pair("Who is sitting in the boat?", "man", "phrase", caption)
         out = adversarial_qa(
             pair, ana(caption), store,
-            {"dining table", "sofa", "man", "boat"}, lemmas_of(record), PipelineConfig(seed=0),
+            Candidates(store, {"dining table", "sofa", "man", "boat"}), lemmas_of(record),
+            PipelineConfig(seed=0),
         )
         assert (out.question, out.answer) == (
             "Who is sitting in the dining table?",
@@ -477,7 +480,8 @@ class TestAdversarial:
         )
         pair = make_pair("How many puppies are on the bed?", "two", "number", captions[0])
         out = adversarial_qa(
-            pair, ana(captions[0]), store, {"puppy", "ball", "kitten"}, lemmas_of(record),
+            pair, ana(captions[0]), store, Candidates(store, {"puppy", "ball", "kitten"}),
+            lemmas_of(record),
             PipelineConfig(seed=0),
         )
         assert out is not None
@@ -497,7 +501,7 @@ class TestAdversarial:
         )
         pair = make_pair("Is there a dog?", "yes", "yesno", caption)
         out = adversarial_qa(
-            pair, ana(caption), store, {"pencil", "dog"}, lemmas_of(record),
+            pair, ana(caption), store, Candidates(store, {"pencil", "dog"}), lemmas_of(record),
             PipelineConfig(seed=0),
         )
         assert out is None
@@ -508,7 +512,8 @@ class TestAdversarial:
         store = make_store({"cat": np.array([1.0, 0.0]), "dog": np.array([0.9, 0.1])})
         pair = make_pair("Is there a zebra?", "yes", "yesno", caption)
         out = adversarial_qa(
-            pair, ana(caption), store, {"cat", "dog"}, lemmas_of(record), PipelineConfig(seed=0),
+            pair, ana(caption), store, Candidates(store, {"cat", "dog"}), lemmas_of(record),
+            PipelineConfig(seed=0),
         )
         assert out is None
 
@@ -518,7 +523,8 @@ class TestAdversarial:
         store = make_store({"dog": np.array([1.0, 0.0]), "cat": np.array([0.9, 0.1])})
         pair = make_pair("Is there a dog?", "yes", "yesno", caption)
         out = adversarial_qa(
-            pair, ana(caption), store, {"cat", "dog"}, lemmas_of(record), PipelineConfig(seed=0),
+            pair, ana(caption), store, Candidates(store, {"cat", "dog"}), lemmas_of(record),
+            PipelineConfig(seed=0),
         )
         assert (out.question, out.answer) == ("Is there a cat?", "no")
         assert out.answer_type == "yesno"
