@@ -114,12 +114,12 @@ class Candidates:
             self.words.append(word)
             norms.append(norm)
         self.matrix = np.zeros((len(self.words), store.dim), dtype=np.float64)
-        for row, word in enumerate(self.words):
-            self.matrix[row] = store.vectors[word]
         self.norms = np.array(norms, dtype=np.float64)
-        self.rows = {word: row for row, word in enumerate(self.words)}
+        self.rows = {}
         self.postings = {}
         for row, word in enumerate(self.words):
+            self.matrix[row] = store.vectors[word]
+            self.rows[word] = row
             for part in word.split(" "):
                 self.postings.setdefault(singularize(part), []).append(row)
 
@@ -149,9 +149,12 @@ def nearest(word: str, store: EmbeddingStore, candidates: Candidates, exclude=()
             keep[row] = False
     kept = np.flatnonzero(keep)
     scores = (candidates.matrix @ query)[kept] / (qnorm * candidates.norms[kept])
-    # stable, over rows in lexicographic order: equal scores keep word order
-    top = np.argsort(-scores, kind="stable")[:k]
-    return [(candidates.words[kept[i]], float(scores[i])) for i in top]
+    top = []
+    for _ in range(min(k, len(kept))):
+        i = int(np.argmax(scores))  # the first maximum: rows are in word order
+        top.append((candidates.words[kept[i]], float(scores[i])))
+        scores[i] = -np.inf
+    return top
 
 
 def mean_pool(text: str, store: EmbeddingStore) -> np.ndarray:
