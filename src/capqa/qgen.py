@@ -256,7 +256,8 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
                 if first.lemma not in lex.persons and first.lemma not in wl.RELATIONAL_NOUNS:
                     after = tokens[_tok_index(tokens, first) + 1:]
                     emit(_finish(["what", _words(after)]), first.text.lower())
-        elif subject is not None:
+        elif subject is not None and _tok_index(tokens, np_.tokens[0]) > subj_idx:
+            # a phrase before the subject would be asked without its context
             subj_end = _tok_index(tokens, subject.tokens[-1]) + 1
             target_ids = {id(t) for t in np_.tokens}
             aux_tok = next((t for t in tokens if t.pos == AUX), None)

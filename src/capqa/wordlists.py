@@ -32,7 +32,7 @@ CONJUNCTIONS = frozenset("and or but nor".split())
 
 ADVERB_WORDS = frozenset(
     """there here very too also really quite just only still already often always
-    never sometimes again together almost away back""".split()
+    never sometimes again together almost away back close about""".split()
 )
 
 NUMBER_WORDS = {

@@ -222,6 +222,27 @@ class TestObject:
             self.run(caption)
         )
 
+    @pytest.mark.parametrize("caption, expected", [
+        ("A dog sitting close to the fence",
+         [("What is sitting close to the fence?", "dog"),
+          ("What is the dog sitting close to?", "fence")]),
+        ("Three boats anchored close to shore",
+         [("What are anchored close to shore?", "three boats"),
+          ("What are the three boats anchored close to?", "shore")]),
+        ("A close up of a pizza", []),
+        ("A man about to close the door", [("What is the man about to close?", "door")]),
+    ], ids=["close_to_fence", "close_to_shore", "close_up", "about_to_close"])
+    def test_close_and_about_are_not_nouns(self, caption, expected):
+        assert qa_tuples(self.run(caption)) == expected
+        assert all(p.answer not in ("close", "about") for p in all_pairs_for(caption))
+
+    @pytest.mark.parametrize("caption", [
+        "Next to the bench is a dog",
+        "On the table is a red vase",
+    ])
+    def test_object_before_subject_skipped(self, caption):
+        assert qa_tuples(self.run(caption)) == []
+
 
 # --- number -----------------------------------------------------------------
 
