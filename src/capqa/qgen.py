@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import dropwhile
 
 from . import lingo
 from . import wordlists as wl
@@ -236,9 +235,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
         return pairs
 
     subj_plural = subject is not None and _is_plural(subject.head)
-    # a phrase before the subject would be asked without its context, and
-    # without a subject nothing is asked
-    for np_ in dropwhile(lambda p: p is not subject, nps):
+    for np_ in nps:
         if not _object_eligible(np_):
             continue
         is_subject = np_ is subject
@@ -259,7 +256,8 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
                 if first.lemma not in lex.persons and first.lemma not in wl.RELATIONAL_NOUNS:
                     after = tokens[_tok_index(tokens, first) + 1:]
                     emit(_finish(["what", _words(after)]), first.text.lower())
-        else:
+        elif subject is not None and np_.tokens[0].span > subject.tokens[0].span:
+            # a phrase before the subject would be asked without its context
             subj_end = _tok_index(tokens, subject.tokens[-1]) + 1
             target_ids = {id(t) for t in np_.tokens}
             aux_tok = next((t for t in tokens if t.pos == AUX), None)
