@@ -209,12 +209,12 @@ def absent(candidate, lemmas):
 def assert_matches_reference(got, ranking, k):
     """`ranking` is the reference's full order; near ties (1e-9) may swap."""
     scores = dict(ranking)
+    ref = [s for _, s in ranking]
     assert len(got) == min(k, len(ranking))
     for (w1, s1), (w2, s2) in zip(got, got[1:]):
         assert s1 > s2 or (s1 == s2 and w1 < w2)  # equal scores in word order
     for i, (word, score) in enumerate(got):
         assert abs(score - scores[word]) <= 1e-12
-        ref = [s for _, s in ranking]
         separated = all(abs(ref[i] - ref[j]) > 1e-9 for j in (i - 1, i + 1)
                         if 0 <= j < len(ref))
         if separated:
