@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import wordlists as wl
 from .errors import MalformedInput
@@ -40,16 +40,14 @@ _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
 _SINGULAR_TO_PLURAL = {s: p for p, s in wl.IRREGULAR_PLURALS.items()}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     lemma: str
     pos: str
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class NounPhrase:
+class NounPhrase(NamedTuple):
     """Maximal DET? NUM? ADJ* NOUN+ run; head is the final noun."""
 
     tokens: tuple[Token, ...]
@@ -79,6 +77,11 @@ class Lexicons:
     stop_aux: frozenset
     persons: frozenset
     animals: frozenset
+
+    def __post_init__(self):
+        # closed-class word -> (tag, lemma); not a field, so equality and
+        # repr ignore it and `replace` rebuilds it from the new lists
+        object.__setattr__(self, "closed_class", _closed_class_table(self))
 
     @classmethod
     def default(cls) -> "Lexicons":
@@ -127,6 +130,11 @@ def _default_lexicons() -> Lexicons:
     )
 
 
+def is_punct(text: str) -> bool:
+    """True when `text` holds no letter or digit."""
+    return not text.isalnum() and not any(ch.isalnum() for ch in text)
+
+
 def singularize(word: str) -> str:
     """Strip a plural suffix by rule; irregular forms via exception table."""
     w = word.lower()
@@ -152,29 +160,40 @@ def pluralize(word: str) -> str:
     return w + "s"
 
 
-def _tag(text: str, lowered: str, prev_pos, position: int, lex: Lexicons) -> str:
-    if not any(ch.isalnum() for ch in text):
+def _closed_class_table(lex: Lexicons) -> dict:
+    """Word -> (tag, lemma) for every word of a closed list.
+
+    Lists are applied from the lowest precedence up, so a word on two lists
+    keeps the tag of the one `_tag` would test first. Words `_tag` settles
+    before any list (no alphanumeric character, all digits) are left out.
+    """
+    ranked = (
+        (ADJ, wl.COMMON_ADJECTIVES),
+        (ADJ, lex.colors),
+        (ADV, wl.ADVERB_WORDS),
+        (OTHER, wl.CONJUNCTIONS),
+        (NUM, wl.VAGUE_QUANTIFIERS),
+        (NUM, lex.number_words),
+        (PRON, wl.PRONOUNS),
+        (ADP, wl.PREPOSITIONS),
+        (AUX, wl.AUXILIARIES),
+        (DET, wl.DETERMINERS),
+    )
+    table = {}
+    for pos, words in ranked:
+        for word in words:
+            if word.isdigit() or is_punct(word):
+                continue
+            table[word] = (pos, _lemma(word, pos, lex))
+    return table
+
+
+def _tag(text: str, lowered: str, prev_pos, position: int) -> str:
+    """Tag of a word on no closed list (see `_closed_class_table`)."""
+    if is_punct(text):
         return OTHER
     if lowered.isdigit():
         return NUM
-    if lowered in wl.DETERMINERS:
-        return DET
-    if lowered in wl.AUXILIARIES:
-        return AUX
-    if lowered in wl.PREPOSITIONS:
-        return ADP
-    if lowered in wl.PRONOUNS:
-        return PRON
-    if lowered in lex.number_words:
-        return NUM
-    if lowered in wl.VAGUE_QUANTIFIERS:
-        return NUM
-    if lowered in wl.CONJUNCTIONS:
-        return OTHER
-    if lowered in wl.ADVERB_WORDS:
-        return ADV
-    if lowered in lex.colors or lowered in wl.COMMON_ADJECTIVES:
-        return ADJ
     if len(lowered) > 3 and lowered.endswith("ly"):
         return ADV
     if lowered in wl.COMMON_VERBS:
@@ -203,21 +222,52 @@ def _lemma(lowered: str, pos: str, lex: Lexicons) -> str:
     return lowered
 
 
+def tokenize(text: str) -> list:
+    """Token texts of `text`, split exactly as `analyze` splits it."""
+    return _TOKEN_RE.findall(text)
+
+
+def _tagged(text: str, lex: Lexicons):
+    """Yield the tokens of `text` one by one, each tagged from its left context."""
+    prev_pos = None
+    closed = lex.closed_class
+    for position, m in enumerate(_TOKEN_RE.finditer(text)):
+        span = m.span()
+        word = text[span[0]:span[1]]
+        lowered = word.lower()
+        hit = closed.get(lowered)
+        if hit is None:
+            pos = _tag(word, lowered, prev_pos, position)
+            lemma = _lemma(lowered, pos, lex)
+        else:
+            pos, lemma = hit
+        yield Token(word, lemma, pos, span)
+        prev_pos = pos
+
+
 def analyze(caption: str, lex: Lexicons):
     """Tokenize, tag, and chunk one caption.
 
     Returns (tokens, noun_phrases). Pure: identical input gives identical
     output in any process.
     """
-    tokens = []
-    prev_pos = None
-    for m in _TOKEN_RE.finditer(caption):
-        text = m.group()
-        lowered = text.lower()
-        pos = _tag(text, lowered, prev_pos, len(tokens), lex)
-        tokens.append(Token(text=text, lemma=_lemma(lowered, pos, lex), pos=pos, span=m.span()))
-        prev_pos = pos
+    tokens = list(_tagged(caption, lex))
     return tokens, _chunk(tokens, lex)
+
+
+def first_noun_run_end(text: str, lex: Lexicons):
+    """Index just past the first noun run of `text`, or None without a noun.
+
+    The first noun phrase of `analyze(text)` ends there, but only the tokens
+    up to that point get tagged.
+    """
+    end = None
+    for i, tok in enumerate(_tagged(text, lex)):
+        if tok.pos in (NOUN, PROPN):
+            end = i + 1
+        elif end is not None:
+            break
+    return end
 
 
 def _chunk(tokens, lex: Lexicons):
@@ -225,32 +275,22 @@ def _chunk(tokens, lex: Lexicons):
     i, n = 0, len(tokens)
     while i < n:
         j = i
-        det = quant = None
+        det = quant = color = None
         if tokens[j].pos == DET:
             det = tokens[j]
             j += 1
         if j < n and tokens[j].pos == NUM:
             quant = tokens[j]
             j += 1
-        adjs = []
         while j < n and tokens[j].pos == ADJ:
-            adjs.append(tokens[j])
+            if color is None and tokens[j].text.lower() in lex.colors:
+                color = tokens[j]
             j += 1
-        nouns = []
+        first_noun = j
         while j < n and tokens[j].pos in (NOUN, PROPN):
-            nouns.append(tokens[j])
             j += 1
-        if nouns:
-            color = next((a for a in adjs if a.text.lower() in lex.colors), None)
-            nps.append(
-                NounPhrase(
-                    tokens=tuple(tokens[i:j]),
-                    head=nouns[-1],
-                    determiner=det,
-                    quantifier=quant,
-                    color=color,
-                )
-            )
+        if j > first_noun:
+            nps.append(NounPhrase(tuple(tokens[i:j]), tokens[j - 1], det, quant, color))
             i = j
         else:
             i = max(j, i + 1)
@@ -273,7 +313,7 @@ def detokenize(tokens) -> str:
     """Join token texts with single spaces, gluing punctuation to the left."""
     parts = []
     for t in tokens:
-        if parts and t.pos == OTHER and not any(ch.isalnum() for ch in t.text):
+        if parts and t.pos == OTHER and is_punct(t.text):
             parts[-1] += t.text
         else:
             parts.append(t.text)

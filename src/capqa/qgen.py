@@ -25,9 +25,11 @@ from .rng import stream
 _ARTICLES = ("a", "an", "the")
 _DEMONSTRATIVES = ("this", "these", "that", "those")
 
-# vowel/consonant agreement after an object word was swapped in
-_ART_A = re.compile(r"\b(a) (?=[aeiou])")
-_ART_AN = re.compile(r"\b(an) (?=[b-df-hj-np-tv-z])")
+# vowel/consonant agreement after an object word was swapped in; the
+# lookbehind stands for a leading \b so the pattern opens on a literal,
+# which the regex engine scans for much faster
+_ART_A = re.compile(r"a(?<!\wa) (?=[aeiou])")
+_ART_AN = re.compile(r"an(?<!\wan) (?=[b-df-hj-np-tv-z])")
 
 _COLOR_Q = re.compile(r"^What is the color of (.+)\?$")
 
@@ -38,13 +40,12 @@ _LONG_QUESTION = 14
 
 
 def _fix_articles(text: str) -> str:
-    text = _ART_A.sub(lambda m: m.group(1) + "n ", text)
-    return _ART_AN.sub(lambda m: m.group(1)[:1] + " ", text)
+    return _ART_AN.sub("a ", _ART_A.sub("an ", text))
 
 
 def _finish(parts) -> str:
     """Join parts, squeeze whitespace, drop trailing punctuation, add "?"."""
-    text = re.sub(r"\s+", " ", " ".join(p for p in parts if p)).strip()
+    text = " ".join(" ".join(filter(None, parts)).split())
     text = text.rstrip(" .,;:!")
     text = _fix_articles(text)
     if not text:
@@ -61,7 +62,7 @@ def _words(tokens) -> str:
     parts = []
     for t in tokens:
         w = _word(t)
-        if parts and t.pos == OTHER and not any(ch.isalnum() for ch in t.text):
+        if parts and t.pos == OTHER and lingo.is_punct(t.text):
             parts[-1] += w
         else:
             parts.append(w)
@@ -225,7 +226,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
         )
 
     if len(nps) == 1 and all(
-        any(t is u for u in nps[0].tokens) or not any(ch.isalnum() for ch in t.text)
+        any(t is u for u in nps[0].tokens) or lingo.is_punct(t.text)
         for t in tokens
     ):
         np_ = nps[0]
@@ -283,7 +284,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
 def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicons):
     """A counting question per numerically quantified noun phrase."""
     tokens, nps = analysis
-    rng = stream(cfg.seed, record.image_id, caption_index, "number")
+    rng = None  # seeded on the first countable phrase; most captions have none
     pairs = []
     for np_ in nps:
         quant = np_.quantifier
@@ -293,6 +294,8 @@ def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexico
         digit = lex.number_words.get(word, word if word.isdigit() else None)
         if digit is None:
             continue  # vague quantifier, not countable
+        if rng is None:
+            rng = stream(cfg.seed, record.image_id, caption_index, "number")
         how_many = rng.random() < 0.5
 
         rest_tokens = [t for t in np_.tokens if t is not np_.determiner and t is not quant]
@@ -306,7 +309,7 @@ def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexico
             if t.text.lower() in wl.CONJUNCTIONS:
                 break
             post.append(t)
-        content = [t for t in post if any(ch.isalnum() for ch in t.text)]
+        content = [t for t in post if not lingo.is_punct(t.text)]
 
         if how_many:
             if not content:
@@ -381,34 +384,32 @@ def gen_location(record, caption_index, analysis, lex: Lexicons):
 # --- negation -----------------------------------------------------------------
 
 
-def _splice(tokens, replace_at=None, replace_with=None, insert_at=None, insert_word=None):
+def _splice(words, replace_at=None, replace_with=None, insert_at=None, insert_word=None):
     parts = []
-    for i, t in enumerate(tokens):
+    for i, w in enumerate(words):
         if insert_at == i:
             parts.append(insert_word)
-        text = replace_with if replace_at == i else t.text
-        if parts and t.pos == OTHER and not any(ch.isalnum() for ch in t.text):
+        text = replace_with if replace_at == i else w
+        if parts and lingo.is_punct(w):
             parts[-1] += text
         else:
             parts.append(text)
-    if insert_at == len(tokens):
+    if insert_at == len(words):
         parts.append(insert_word)
     return " ".join(parts)
 
 
 def _negate_yesno_question(question: str, lex: Lexicons) -> str:
-    tokens, nps = lingo.analyze(question, lex)
-    low = [t.text.lower() for t in tokens]
-    if len(tokens) >= 2 and low[1] == "there":
-        if len(tokens) >= 3 and low[2] in _ARTICLES:
-            return _splice(tokens, replace_at=2, replace_with="no")
-        return _splice(tokens, insert_at=2, insert_word="no")
-    if len(tokens) >= 2 and low[1] in _DEMONSTRATIVES:
-        return _splice(tokens, insert_at=2, insert_word="not")
-    if nps:
-        after_subject = _tok_index(tokens, nps[0].tokens[-1]) + 1
-        return _splice(tokens, insert_at=after_subject, insert_word="not")
-    return _splice(tokens, insert_at=1, insert_word="not")
+    words = lingo.tokenize(question)
+    low = [w.lower() for w in words[:3]]
+    if len(words) >= 2 and low[1] == "there":
+        if len(words) >= 3 and low[2] in _ARTICLES:
+            return _splice(words, replace_at=2, replace_with="no")
+        return _splice(words, insert_at=2, insert_word="no")
+    if len(words) >= 2 and low[1] in _DEMONSTRATIVES:
+        return _splice(words, insert_at=2, insert_word="not")
+    after_subject = lingo.first_noun_run_end(question, lex)
+    return _splice(words, insert_at=after_subject or 1, insert_word="not")
 
 
 def negate_qa(qa: QAPair, analysis, lex: Lexicons, cfg: PipelineConfig) -> QAPair:

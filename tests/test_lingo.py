@@ -1,10 +1,13 @@
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
+from capqa import wordlists as wl
 from capqa.lingo import (
     Lexicons,
     analyze,
+    first_noun_run_end,
     pluralize,
     singularize,
     strip_aux,
@@ -174,3 +177,111 @@ def test_lexicons_entries_lowercase():
         assert w == w.lower()
     for k, v in LEX.number_words.items():
         assert k == k.lower()
+
+
+# --- closed-class table against the full precedence chain ---------------------
+
+
+def reference_tag(text, lowered, prev_pos, position, lex):
+    """Every tagging rule in precedence order, one list lookup after another."""
+    if not any(ch.isalnum() for ch in text):
+        return "OTHER"
+    if lowered.isdigit():
+        return "NUM"
+    for pos, words in (
+        ("DET", wl.DETERMINERS), ("AUX", wl.AUXILIARIES), ("ADP", wl.PREPOSITIONS),
+        ("PRON", wl.PRONOUNS), ("NUM", lex.number_words), ("NUM", wl.VAGUE_QUANTIFIERS),
+        ("OTHER", wl.CONJUNCTIONS), ("ADV", wl.ADVERB_WORDS), ("ADJ", lex.colors),
+        ("ADJ", wl.COMMON_ADJECTIVES),
+    ):
+        if lowered in words:
+            return pos
+    if len(lowered) > 3 and lowered.endswith("ly"):
+        return "ADV"
+    if lowered in wl.COMMON_VERBS:
+        return "NOUN" if prev_pos in ("DET", "NUM", "ADJ") else "VERB"
+    if len(lowered) >= 5 and lowered.endswith(("ing", "ed")):
+        return "VERB"
+    if position > 0 and text[:1].isupper():
+        return "PROPN"
+    return "NOUN"
+
+
+def reference_lemma(lowered, pos, lex):
+    if pos in ("NOUN", "PROPN"):
+        return singularize(lowered[:-2] if lowered.endswith(("'s", "’s")) else lowered)
+    if pos == "NUM":
+        return lex.number_words.get(lowered, lowered)
+    return lowered
+
+
+@pytest.fixture(scope="module")
+def override_lex(tmp_path_factory):
+    # entries that collide with higher-precedence lists or are no words at all
+    p = tmp_path_factory.mktemp("lex") / "lex.json"
+    p.write_text(json.dumps({
+        "colors": ["next", "and", "blurple", "_", "7"],
+        "number_words": {"the": "0", "dozen": "12", "3": "three", "-": "1"},
+    }), encoding="utf-8")
+    return Lexicons.load(p)
+
+
+_TAG_WORDS = sorted(
+    set().union(
+        wl.DETERMINERS, wl.AUXILIARIES, wl.PREPOSITIONS, wl.PRONOUNS, wl.NUMBER_WORDS,
+        wl.VAGUE_QUANTIFIERS, wl.CONJUNCTIONS, wl.ADVERB_WORDS, wl.COLORS,
+        wl.COMMON_ADJECTIVES, wl.COMMON_VERBS,
+    )
+    | {"blurple", "dozen", "next", "3", "42", "_", "-", ",", "?", "dog's", "boxes", "men",
+       "quickly", "running", "jumped", "paris", "well-known", "²", "½"}
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TAG_WORDS), st.sampled_from(["lower", "title", "upper"])),
+        min_size=1, max_size=12,
+    ),
+    st.booleans(),
+)
+def test_tags_and_lemmas_match_precedence_chain(override_lex, words, override):
+    lex = override_lex if override else LEX
+    caption = " ".join(getattr(w, case)() for w, case in words)
+    tokens, _ = analyze(caption, lex)
+    prev_pos = None
+    for position, t in enumerate(tokens):
+        lowered = t.text.lower()
+        pos = reference_tag(t.text, lowered, prev_pos, position, lex)
+        assert (t.pos, t.lemma) == (pos, reference_lemma(lowered, pos, lex)), caption
+        prev_pos = pos
+
+
+def test_override_colliding_with_higher_lists_keeps_their_tags(override_lex):
+    tokens, _ = analyze("The blurple dog next to 3 dozen cats and", override_lex)
+    assert [t.pos for t in tokens] == [
+        "DET", "ADJ", "NOUN", "ADP", "ADP", "NUM", "NUM", "NOUN", "OTHER",
+    ]
+    assert [t.lemma for t in tokens][5:7] == ["three", "12"]
+    # a list entry with no letter or digit, or all digits, is tagged before any list
+    tokens, _ = analyze("_ - 7", override_lex)
+    assert [(t.pos, t.lemma) for t in tokens] == [("OTHER", "_"), ("OTHER", "-"), ("NUM", "7")]
+
+
+# --- the first noun run ----------------------------------------------------------
+
+
+@given(st.lists(st.sampled_from(_TAG_WORDS + ["man", "hat", "Anna", "kitchen"]), max_size=12))
+def test_first_noun_run_end_is_first_noun_phrase_end(words):
+    text = " ".join(words)
+    tokens, nps = analyze(text, LEX)
+    expected = None
+    if nps:
+        last = nps[0].tokens[-1]
+        expected = next(i for i, t in enumerate(tokens) if t is last) + 1
+    assert first_noun_run_end(text, LEX) == expected
+
+
+def test_first_noun_run_end_examples():
+    assert first_noun_run_end("Is the small cat sitting on the yard?", LEX) == 4
+    assert first_noun_run_end("Is the bus stop sign red?", LEX) == 5
+    assert first_noun_run_end("Is it red?", LEX) is None
