@@ -255,21 +255,6 @@ def analyze(caption: str, lex: Lexicons):
     return tokens, _chunk(tokens, lex)
 
 
-def first_noun_run_end(text: str, lex: Lexicons):
-    """Index just past the first noun run of `text`, or None without a noun.
-
-    The first noun phrase of `analyze(text)` ends there, but only the tokens
-    up to that point get tagged.
-    """
-    end = None
-    for i, tok in enumerate(_tagged(text, lex)):
-        if tok.pos in (NOUN, PROPN):
-            end = i + 1
-        elif end is not None:
-            break
-    return end
-
-
 def _chunk(tokens, lex: Lexicons):
     nps = []
     i, n = 0, len(tokens)

@@ -284,7 +284,9 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
 def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicons):
     """A counting question per numerically quantified noun phrase."""
     tokens, nps = analysis
-    rng = None  # seeded on the first countable phrase; most captions have none
+    # seeded on the first countable phrase: seeding costs more than the rest of
+    # this function, and 50-84% of the benchmark and criterion-8 captions have none
+    rng = None
     pairs = []
     for np_ in nps:
         quant = np_.quantifier
@@ -408,8 +410,9 @@ def _negate_yesno_question(question: str, lex: Lexicons) -> str:
         return _splice(words, insert_at=2, insert_word="no")
     if len(words) >= 2 and low[1] in _DEMONSTRATIVES:
         return _splice(words, insert_at=2, insert_word="not")
-    after_subject = lingo.first_noun_run_end(question, lex)
-    return _splice(words, insert_at=after_subject or 1, insert_word="not")
+    tokens, nps = lingo.analyze(question, lex)
+    after_subject = _tok_index(tokens, nps[0].tokens[-1]) + 1 if nps else 1
+    return _splice(words, insert_at=after_subject, insert_word="not")
 
 
 def negate_qa(qa: QAPair, analysis, lex: Lexicons, cfg: PipelineConfig) -> QAPair:

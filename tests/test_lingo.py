@@ -7,7 +7,6 @@ from capqa import wordlists as wl
 from capqa.lingo import (
     Lexicons,
     analyze,
-    first_noun_run_end,
     pluralize,
     singularize,
     strip_aux,
@@ -265,23 +264,3 @@ def test_override_colliding_with_higher_lists_keeps_their_tags(override_lex):
     # a list entry with no letter or digit, or all digits, is tagged before any list
     tokens, _ = analyze("_ - 7", override_lex)
     assert [(t.pos, t.lemma) for t in tokens] == [("OTHER", "_"), ("OTHER", "-"), ("NUM", "7")]
-
-
-# --- the first noun run ----------------------------------------------------------
-
-
-@given(st.lists(st.sampled_from(_TAG_WORDS + ["man", "hat", "Anna", "kitchen"]), max_size=12))
-def test_first_noun_run_end_is_first_noun_phrase_end(words):
-    text = " ".join(words)
-    tokens, nps = analyze(text, LEX)
-    expected = None
-    if nps:
-        last = nps[0].tokens[-1]
-        expected = next(i for i, t in enumerate(tokens) if t is last) + 1
-    assert first_noun_run_end(text, LEX) == expected
-
-
-def test_first_noun_run_end_examples():
-    assert first_noun_run_end("Is the small cat sitting on the yard?", LEX) == 4
-    assert first_noun_run_end("Is the bus stop sign red?", LEX) == 5
-    assert first_noun_run_end("Is it red?", LEX) is None

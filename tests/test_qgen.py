@@ -423,6 +423,16 @@ class TestNegate:
         )
         assert (out.question, out.answer) == ("Is the man not wearing a hat?", "no")
 
+    @pytest.mark.parametrize("question, negated", [
+        ("Is the bus stop sign red?", "Is the bus stop sign not red?"),
+        ("Is the small cat sitting on the yard?", "Is the small cat not sitting on the yard?"),
+        ("Are two dogs, a cat and a man sitting?", "Are two dogs not, a cat and a man sitting?"),
+        ("Is it red?", "Is not it red?"),
+    ], ids=["compound_noun", "adjective", "first_phrase_only", "no_noun"])
+    def test_not_goes_after_first_noun_phrase(self, question, negated):
+        out = self.negate(make_pair(question, "yes", "yesno", question))
+        assert out.question == negated
+
     def test_color_uses_antonym_when_available(self):
         pair = make_pair(
             "What is the color of the woman's shirt?", "black", "color", "shirt"
