@@ -13,10 +13,10 @@ import json
 import re
 import shlex
 import subprocess
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional
-
-import requests
 
 from .config import AUGMENT_MODES, PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
@@ -160,20 +160,28 @@ def _subprocess_backend(argv, batch, cfg):
     return responses
 
 
-def _http_backend(url, batch, cfg):
-    responses = []
-    for req in batch:
-        try:
-            resp = requests.post(url, json=_payload(req), timeout=cfg.timeout_s)
-            resp.raise_for_status()
-            d = resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise RewriterUnavailable(f"rewriter endpoint {url} failed: {exc}") from exc
-        responses.append(_parse_response(d))
-    return responses
+def _http_backend(url, cfg, stack: ExitStack):
+    """POST each request to `url` over one pooled session, which `stack` closes."""
+    import requests  # only HTTP rewriters pay for loading it
+
+    session = stack.enter_context(requests.Session())
+
+    def backend(batch):
+        responses = []
+        for req in batch:
+            try:
+                resp = session.post(url, json=_payload(req), timeout=cfg.timeout_s)
+                resp.raise_for_status()
+                d = resp.json()
+            except (requests.RequestException, ValueError) as exc:
+                raise RewriterUnavailable(f"rewriter endpoint {url} failed: {exc}") from exc
+            responses.append(_parse_response(d))
+        return responses
+
+    return backend
 
 
-def _resolve_backend(rewriter, cfg):
+def _resolve_backend(rewriter, cfg, stack: ExitStack):
     if rewriter is None or rewriter == "builtin":
         return lambda batch: [
             RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch
@@ -181,7 +189,7 @@ def _resolve_backend(rewriter, cfg):
     if callable(rewriter):
         return rewriter
     if isinstance(rewriter, str) and rewriter.startswith(("http://", "https://")):
-        return lambda batch: _http_backend(rewriter, batch, cfg)
+        return _http_backend(rewriter, cfg, stack)
     if isinstance(rewriter, str):
         return lambda batch: _subprocess_backend(shlex.split(rewriter), batch, cfg)
     if isinstance(rewriter, (list, tuple)):
@@ -206,36 +214,54 @@ def _mentions(text: str, answer: str) -> bool:
     return singularize(a[-1]) in {singularize(w) for w in t}
 
 
+def _check_ids(batch, got) -> None:
+    """A batch's responses must answer each of its requests exactly once."""
+    asked = Counter(r.request_id for r in batch)
+    answered = Counter(resp.request_id for resp in got)
+    if answered != asked:
+        missing = sorted(asked - answered)
+        extra = sorted(answered - asked)
+        raise RewriterUnavailable(
+            f"rewriter answered {len(got)} response(s) to {len(batch)} request(s): "
+            f"missing ids {missing[:5]}, unrequested or repeated ids {extra[:5]}"
+        )
+
+
 def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
     """Originals plus answer-consistent rewrites, in input order.
 
     Each accepted rewrite becomes a new pair carrying the same answer and a
-    parent_id pointing at its source pair. A mode/pivot pair that
-    RewriteRequest rejects raises ValueError before any rewriter call.
+    parent_id pointing at its source pair. A batch whose response ids are not
+    exactly its request ids counts as an unavailable rewriter. A mode/pivot
+    pair that RewriteRequest rejects raises ValueError before any rewriter
+    call.
     """
     pairs = list(pairs)
     if not pairs:
         raise MalformedInput("augment_batch needs at least one pair")
-    backend = _resolve_backend(rewriter, cfg)
     mode = cfg.augment_mode
     pivot = cfg.pivot_language or None
-    reqs = [
-        RewriteRequest(request_id=p.qa_id, text=p.question, mode=mode, pivot_language=pivot)
-        for p in pairs
-    ]
     responses = {}
-    for start in range(0, len(reqs), cfg.batch_size):
-        batch = reqs[start:start + cfg.batch_size]
-        try:
-            got = backend(batch)
-        except RewriterUnavailable:
-            if not cfg.fallback:
-                raise
-            got = [
-                RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch
-            ]
-        for resp in got:
-            responses[resp.request_id] = resp
+    with ExitStack() as stack:
+        backend = _resolve_backend(rewriter, cfg, stack)
+        reqs = [
+            RewriteRequest(request_id=p.qa_id, text=p.question, mode=mode,
+                           pivot_language=pivot)
+            for p in pairs
+        ]
+        for start in range(0, len(reqs), cfg.batch_size):
+            batch = reqs[start:start + cfg.batch_size]
+            try:
+                got = backend(batch)
+                _check_ids(batch, got)
+            except RewriterUnavailable:
+                if not cfg.fallback:
+                    raise
+                got = [
+                    RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch
+                ]
+            for resp in got:
+                responses[resp.request_id] = resp
 
     out = []
     for pair in pairs:

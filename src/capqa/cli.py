@@ -14,7 +14,6 @@ import logging
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .answers import build_vocab, expand_answer, save_vocab_file
@@ -170,6 +169,12 @@ def _atomic_write(path: str, writer):
             os.unlink(tmp)
 
 
+def _write_json(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_run_manifest(out_path: str, command: str, cfg: PipelineConfig,
                         counts: dict) -> None:
     doc = {
@@ -178,9 +183,7 @@ def _write_run_manifest(out_path: str, command: str, cfg: PipelineConfig,
         "outputs": [str(out_path)],
         "counts": counts,
     }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _atomic_write(f"{out_path}.manifest.json", lambda p: _write_json(doc, p))
 
 
 def _emit(payload: dict) -> None:
@@ -210,6 +213,9 @@ def _cmd_generate(args) -> int:
         per_record = (_record_pairs(record, ctx) for record in records)
         count = _atomic_write(args.out, lambda p: write_jsonl(rows(per_record), p))
     else:
+        # loads multiprocessing and socket, which no single-process run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=cfg.workers,
             initializer=_init_worker,
@@ -325,8 +331,17 @@ def _cmd_pretrain(args) -> int:
             samples.append(mqa_mask(qa, cfg.seed))
     if "itm" in cfg.tasks:
         index, _ = object_lemma_index(corpus.records, _lexicons(cfg))
+        short_images = missing = 0
         for rec in corpus.records:
-            samples.extend(itm_pairs(rec, corpus, index, cfg.neg_ratio, cfg.seed))
+            itm, short = itm_pairs(rec, corpus, index, cfg.neg_ratio, cfg.seed)
+            samples.extend(itm)
+            short_images += short > 0
+            missing += short
+        if missing:
+            log.warning(
+                "itm: %d image(s) had too few disjoint captions; %d negative(s) missing",
+                short_images, missing,
+            )
     count = _atomic_write(args.out, lambda p: write_samples(samples, p))
     _write_run_manifest(args.out, "pretrain", cfg, {"samples": count})
     _emit({"samples": count})
@@ -359,12 +374,7 @@ def _cmd_stats(args) -> int:
     rep = report(read_jsonl(require_file(args.input, "--in")))
     doc = rep.to_json_dict()
     if args.out:
-        def write(path):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            return rep.total
-        _atomic_write(args.out, write)
+        _atomic_write(args.out, lambda p: _write_json(doc, p))
         _write_run_manifest(args.out, "stats", cfg, {"pairs": rep.total})
     if args.embeddings_out:
         store = load_vectors(require_file(cfg.vectors, "--vectors"))

@@ -4,17 +4,20 @@ Vectors load from the plain-text format used by GloVe releases: one word
 per line followed by whitespace-separated floats. Only the operations the
 pipeline needs are provided (a candidate table built once per run, a top-k
 query against it, mean pooling); the store is a plain dict so lookups stay
-trivial.
+trivial. numpy is imported inside the functions that use it, so importing
+this module, as every command does, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import MalformedInput, UnknownWord, ZeroVector
 from .lingo import WORD_RE, singularize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -25,6 +28,8 @@ class EmbeddingStore:
 
 
 def make_store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
+    import numpy as np
+
     if not vectors:
         raise MalformedInput("empty vector table")
     arrays = {}
@@ -51,6 +56,8 @@ def make_store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
 
 
 def load_vectors(path) -> EmbeddingStore:
+    import numpy as np
+
     vectors: dict[str, np.ndarray] = {}
     order: list[str] = []
     dim = None
@@ -102,6 +109,8 @@ class Candidates:
     __slots__ = ("words", "matrix", "norms", "rows", "postings")
 
     def __init__(self, store: EmbeddingStore, words):
+        import numpy as np
+
         self.words = []
         norms = []
         for word in sorted({w.lower() for w in words}):
@@ -134,6 +143,8 @@ def nearest(word: str, store: EmbeddingStore, candidates: Candidates, exclude=()
     Skipped: `word` itself, the words in `exclude`, and every row with a part
     whose singular is in `lemmas`. Ties break lexicographically.
     """
+    import numpy as np
+
     query = _vector(word.lower(), store)
     qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0:
@@ -163,6 +174,8 @@ def mean_pool(text: str, store: EmbeddingStore) -> np.ndarray:
     All-OOV (or empty) text pools to the zero vector rather than failing,
     so phrase comparisons degrade gracefully.
     """
+    import numpy as np
+
     total = np.zeros(store.dim, dtype=np.float64)
     count = 0
     for tok in WORD_RE.findall(text.lower()):

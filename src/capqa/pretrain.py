@@ -10,15 +10,12 @@ downstream trainer.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 
 from .errors import MalformedInput
 from .qa import QAPair
 from .rng import stream
-
-log = logging.getLogger(__name__)
 
 MASK = "[MASK]"
 
@@ -78,11 +75,12 @@ def mqa_mask(qa: QAPair, seed=0) -> PretrainSample:
     )
 
 
-def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> list:
+def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> tuple:
     """Match samples from the record's own captions plus mismatch samples
     drawn from images whose object-lemma sets are disjoint from the record's.
 
-    Emits fewer mismatches (with a warning) when the disjoint pool runs dry.
+    Returns (samples, shortfall): when the disjoint pool runs dry it emits
+    fewer mismatches than requested, and shortfall counts the missing ones.
     """
     if neg_ratio < 0:
         raise MalformedInput("neg_ratio must be non-negative")
@@ -99,7 +97,7 @@ def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> l
         )
     wanted = math.ceil(neg_ratio * len(record.captions))
     if wanted == 0:
-        return samples
+        return samples, 0
     own = object_index.get(record.image_id, frozenset())
     eligible = []
     for other in corpus:
@@ -110,11 +108,6 @@ def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> l
         for j, caption in enumerate(other.captions):
             eligible.append((other.image_id, j, caption))
     take = min(wanted, len(eligible))
-    if take < wanted:
-        log.warning(
-            "image %d: only %d disjoint caption(s) available for %d requested negatives",
-            record.image_id, take, wanted,
-        )
     rng = stream(seed, record.image_id, "itm")
     for other_id, j, caption in rng.sample(eligible, take):
         samples.append(
@@ -126,7 +119,7 @@ def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> l
                 provenance=f"{other_id}:{j}",
             )
         )
-    return samples
+    return samples, wanted - take
 
 
 def sample_json_dict(sample: PretrainSample) -> dict:

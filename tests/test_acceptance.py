@@ -239,7 +239,8 @@ def test_criterion_5_itm_disjointness(itm_corpus_100_path):
         assert len(corpus.records) == 100
         checked = 0
         for rec in corpus.records:
-            for sample in itm_pairs(rec, corpus, index, neg_ratio=1.0, seed=5):
+            samples, _ = itm_pairs(rec, corpus, index, neg_ratio=1.0, seed=5)
+            for sample in samples:
                 if sample.label != "mismatch":
                     continue
                 source_id = int(sample.provenance.split(":")[0])

@@ -257,8 +257,12 @@ def test_subprocess_garbage_output_is_unavailable(tmp_path):
 
 
 class Handler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keeps a connection open across requests
+    clients = []  # client_address of each request served
+
     def do_POST(self):
         assert self.path == "/rewrite"
+        self.clients.append(self.client_address)
         length = int(self.headers["Content-Length"])
         req = json.loads(self.rfile.read(length))
         rewrites = []
@@ -279,6 +283,7 @@ class Handler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def http_rewriter():
+    Handler.clients.clear()
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -290,6 +295,15 @@ def test_http_rewriter(http_rewriter):
     pair = make_pair("Is there a dog?", "yes")
     out = augment_batch([pair], http_rewriter, PARA)
     assert [p.question for p in out] == ["Is there a dog?", "Can you see a dog?"]
+
+
+def test_http_batch_shares_one_connection(http_rewriter):
+    pairs = [make_pair(f"Is there a dog {i}?", "yes", qa_id=f"p{i}") for i in range(4)]
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, batch_size=2)
+    out = augment_batch(pairs, http_rewriter, cfg)
+    assert len(out) == 8
+    assert len(Handler.clients) == 4
+    assert len(set(Handler.clients)) == 1
 
 
 def test_http_unreachable_is_fatal():
@@ -304,3 +318,71 @@ def test_http_unreachable_with_fallback(tmp_path):
     pair = make_pair("Is there a dog?", "yes")
     out = augment_batch([pair], "http://127.0.0.1:9/rewrite", cfg)
     assert "Can you see a dog?" in {p.question for p in out}
+
+
+# --- response ids must match the batch's request ids -------------------------------
+
+
+ID_REWRITE = "Is a dog visible here?"  # not among the builtin rewrites
+
+
+def answer_ids(*ids):
+    """A rewriter that ignores the request ids and answers `ids` instead."""
+    def rewriter(batch):
+        return [RewriteResponse(request_id=i, rewrites=[ID_REWRITE]) for i in ids]
+    return rewriter
+
+
+ID_CASES = {
+    "stray": ("a", "b", "zz"),
+    "missing": ("a",),
+    "duplicate": ("a", "b", "b"),
+}
+
+ID_SCRIPT = """\
+import json, sys
+reqs = [json.loads(line) for line in sys.stdin if line.strip()]
+ids = {ids!r}
+for i in ids:
+    print(json.dumps({{"request_id": i, "rewrites": [{rewrite!r}]}}))
+"""
+
+
+def two_pairs():
+    return [
+        make_pair("Is there a dog?", "yes", qa_id="a"),
+        make_pair("Is there a dog?", "yes", qa_id="b"),
+    ]
+
+
+@pytest.fixture(params=["callable", "subprocess"])
+def id_rewriter(request, tmp_path):
+    def make(ids):
+        if request.param == "callable":
+            return answer_ids(*ids)
+        script = tmp_path / "ids.py"
+        script.write_text(ID_SCRIPT.format(ids=list(ids), rewrite=ID_REWRITE),
+                          encoding="utf-8")
+        return [sys.executable, str(script)]
+    return make
+
+
+@pytest.mark.parametrize("case", sorted(ID_CASES))
+def test_mismatched_response_ids_are_unavailable(id_rewriter, case):
+    with pytest.raises(RewriterUnavailable, match="ids"):
+        augment_batch(two_pairs(), id_rewriter(ID_CASES[case]), PARA)
+
+
+@pytest.mark.parametrize("case", sorted(ID_CASES))
+def test_mismatched_response_ids_fall_back_to_builtin(id_rewriter, case):
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, fallback=True)
+    pairs = two_pairs()
+    out = augment_batch(pairs, id_rewriter(ID_CASES[case]), cfg)
+    assert out == augment_batch(pairs, "builtin", cfg)
+    assert ID_REWRITE not in {p.question for p in out}
+
+
+def test_matching_response_ids_in_any_order_accepted(id_rewriter):
+    out = augment_batch(two_pairs(), id_rewriter(("b", "a")), PARA)
+    assert [(p.parent_id, p.question) for p in out[1::2]] == [("a", ID_REWRITE),
+                                                              ("b", ID_REWRITE)]

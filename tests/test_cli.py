@@ -1,10 +1,15 @@
 """Command-line pipeline: dispatch, determinism, exit codes, file plumbing."""
 
+import ast
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import capqa
 from capqa.cli import main
 from capqa.config import PipelineConfig, load_config, require_file, resolve
 from capqa.errors import MalformedInput
@@ -141,6 +146,27 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["seed"] == 7
         assert manifest["counts"]["pairs"] == len(out.read_text().splitlines())
+
+    def test_failed_manifest_rewrite_keeps_the_old_one(self, demo_coco, tmp_path,
+                                                       monkeypatch):
+        from capqa.cli import _write_run_manifest
+
+        out = tmp_path / "qa.jsonl"
+        assert run_generate(demo_coco, out) == 0
+        manifest = tmp_path / "qa.jsonl.manifest.json"
+        before = manifest.read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"command": ')
+            raise OSError("synthetic failure")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="synthetic"):
+            _write_run_manifest(str(out), "generate", PipelineConfig(seed=8), {"pairs": 0})
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "captions.json", "qa.jsonl", "qa.jsonl.manifest.json"
+        ]
 
     def test_same_seed_byte_identical(self, demo_coco, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -487,6 +513,18 @@ class TestPretrainCommand:
         assert all("[MASK]" in r["text"] for r in mlm)
         assert len([r for r in itm if r["label"] == "match"]) == 5
 
+    def test_itm_shortfall_logged_once(self, demo_coco, tmp_path, caplog):
+        # images 1 and 2 share "street"; only image 3 is disjoint from both
+        with caplog.at_level("WARNING"):
+            rc = main([
+                "pretrain", "--captions", demo_coco, "--out", str(tmp_path / "s.jsonl"),
+                "--tasks", "itm", "--neg-ratio", "5",
+            ])
+        assert rc == 0
+        assert caplog.messages == [
+            "itm: 3 image(s) had too few disjoint captions; 19 negative(s) missing"
+        ]
+
     def test_mqa_requires_qa_file(self, demo_coco, tmp_path, capsys):
         rc = main([
             "pretrain", "--captions", demo_coco,
@@ -670,3 +708,57 @@ class TestAtomicOutputs:
             _atomic_write(str(target), boom)
         assert not target.exists()
         assert not os.path.exists(str(target) + ".partial")
+
+
+# --- import cost -----------------------------------------------------------------
+
+# numpy, requests and the process pool load only on the paths that use them
+HEAVY = ("numpy", "requests", "concurrent.futures.process")
+
+IMPORT_PROBE = """\
+import json, sys
+import capqa.cli
+
+heavy, layers, runs, out = json.loads(sys.argv[1])
+loaded = lambda: [m for m in heavy if m in sys.modules]
+seen = {"import": loaded(), "layers": [m for m in layers if m in sys.modules]}
+for name, argv in runs:
+    seen[name] = [capqa.cli.main(argv), loaded()]
+with open(out, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def traced_layers() -> list:
+    """The capqa modules whose functions pipebench/traced.py wraps."""
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "traced.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS":
+            return [f"capqa.{name}" for name in ast.literal_eval(node.value)]
+    raise AssertionError("no LAYERS in pipebench/traced.py")
+
+
+def test_heavy_imports_load_only_where_used(demo_coco, vectors_path, tmp_path):
+    layers = traced_layers()
+    assert len(layers) == 12
+    qa, _ = craft_pairs(tmp_path)
+    runs = [
+        ("weigh", ["weigh", "--in", str(qa), "--out", str(tmp_path / "w.jsonl")]),
+        ("generate", ["generate", "--captions", demo_coco,
+                      "--out", str(tmp_path / "g.jsonl")]),
+        ("vectors", ["generate", "--captions", demo_coco, "--vectors", vectors_path,
+                     "--out", str(tmp_path / "v.jsonl")]),
+    ]
+    result = tmp_path / "loaded.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(capqa.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE,
+         json.dumps([HEAVY, layers, runs, str(result)])],
+        check=True, env=env, stdout=subprocess.DEVNULL,
+    )
+    seen = json.loads(result.read_text())
+    assert seen["import"] == []
+    assert seen["layers"] == layers
+    assert seen["weigh"] == [0, []]
+    assert seen["generate"] == [0, []]
+    assert seen["vectors"] == [0, ["numpy"]]

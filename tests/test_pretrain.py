@@ -164,7 +164,7 @@ def itm_index(itm_corpus):
 class TestItmPairs:
     def test_one_match_per_caption(self, itm_corpus, itm_index):
         record = itm_corpus.records[1]
-        samples = itm_pairs(record, itm_corpus, itm_index, neg_ratio=0.0, seed=0)
+        samples, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=0.0, seed=0)
         matches = [s for s in samples if s.label == "match"]
         assert len(matches) == len(record.captions)
         for idx, sample in enumerate(matches):
@@ -175,14 +175,15 @@ class TestItmPairs:
 
     def test_balanced_counts_at_ratio_one(self, itm_corpus, itm_index):
         record = itm_corpus.records[0]
-        samples = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=0)
+        samples, shortfall = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=0)
         labels = [s.label for s in samples]
         assert labels.count("match") == 1
         assert labels.count("mismatch") == 1
+        assert shortfall == 0
 
     def test_mismatch_sources_are_disjoint(self, itm_corpus, itm_index):
         for record in itm_corpus.records:
-            samples = itm_pairs(record, itm_corpus, itm_index, neg_ratio=3.0, seed=1)
+            samples, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=3.0, seed=1)
             own = itm_index[record.image_id]
             for sample in samples:
                 if sample.label != "mismatch":
@@ -195,7 +196,7 @@ class TestItmPairs:
         # image 3 shares "man" with image 1 and "car" with image 2
         record = itm_corpus.records[0]
         for seed in range(6):
-            samples = itm_pairs(record, itm_corpus, itm_index, neg_ratio=3.0, seed=seed)
+            samples, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=3.0, seed=seed)
             sources = {
                 int(s.provenance.split(":")[0])
                 for s in samples
@@ -204,26 +205,25 @@ class TestItmPairs:
             assert 3 not in sources
             assert 1 not in sources
 
-    def test_small_pool_warns_and_clamps(self, itm_corpus, itm_index, caplog):
+    def test_small_pool_clamps_and_counts_shortfall(self, itm_corpus, itm_index):
         record = itm_corpus.records[0]
         # images 2 and 4 are disjoint from {man, hat}: three captions total
-        with caplog.at_level("WARNING", logger="capqa.pretrain"):
-            samples = itm_pairs(record, itm_corpus, itm_index, neg_ratio=5.0, seed=0)
+        samples, shortfall = itm_pairs(record, itm_corpus, itm_index, neg_ratio=5.0, seed=0)
         mismatches = [s for s in samples if s.label == "mismatch"]
         assert len(mismatches) == 3
-        assert any("5 requested" in message for message in caplog.messages)
+        assert shortfall == 5 - 3
 
     def test_deterministic(self, itm_corpus, itm_index):
         record = itm_corpus.records[3]
-        a = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=7)
-        b = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=7)
+        a, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=7)
+        b, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=7)
         assert [(s.text, s.label, s.provenance) for s in a] == [
             (s.text, s.label, s.provenance) for s in b
         ]
 
     def test_mismatch_carries_record_image_id(self, itm_corpus, itm_index):
         record = itm_corpus.records[0]
-        samples = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=0)
+        samples, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=0)
         assert all(s.image_id == 1 for s in samples)
 
     def test_negative_ratio_rejected(self, itm_corpus, itm_index):
@@ -252,7 +252,7 @@ class TestWriteSamples:
         assert second["text"][-2:] == [MASK, MASK]
 
     def test_itm_label_serialized(self, tmp_path, itm_corpus, itm_index):
-        samples = itm_pairs(itm_corpus.records[0], itm_corpus, itm_index, 1.0, 0)
+        samples, _ = itm_pairs(itm_corpus.records[0], itm_corpus, itm_index, 1.0, 0)
         out = tmp_path / "itm.jsonl"
         write_samples(samples, out)
         rows = [json.loads(l) for l in out.read_text().splitlines()]
