@@ -11,7 +11,6 @@ head-final contiguous suffixes to keep expansion linear.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,27 +146,9 @@ def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> AnswerVocab:
     return AnswerVocab(phrases=kept, index={p: i for i, p in enumerate(kept)})
 
 
-_VOCAB_HEADER = re.compile(r"#capqa-vocab v1 count=(\d+)$")
-
-
 def save_vocab_file(vocab: AnswerVocab, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#capqa-vocab v1 count={len(vocab.phrases)}\n")
         for p in vocab.phrases:
             fh.write(p)
             fh.write("\n")
-
-
-def load_vocab_file(path) -> AnswerVocab:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        m = _VOCAB_HEADER.match(header)
-        if not m:
-            raise MalformedInput(f"{path}: missing vocab header")
-        expected = int(m.group(1))
-        phrases = [line.rstrip("\n") for line in fh if line.strip()]
-    if len(phrases) != expected:
-        raise MalformedInput(
-            f"{path}: header promises {expected} phrases, file holds {len(phrases)}"
-        )
-    return AnswerVocab(phrases=phrases, index={p: i for i, p in enumerate(phrases)})

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .config import AUGMENT_MODES, PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
-from .lingo import WORD_RE, singularize
+from .lingo import WORD_RE, lower_squeeze, singularize
 from .qa import QAPair, derived_qa_id
 from .rng import stream
 
@@ -80,10 +80,6 @@ _BACKTRANSLATE_RULES = (
 _REL_CLAUSE = re.compile(r"\b(\w+) who (?:is|are) ")
 
 
-def _normalize(text: str) -> str:
-    return re.sub(r"\s+", " ", text.strip().lower())
-
-
 def builtin_rewrite(question: str, cfg: PipelineConfig) -> list:
     """Rule-table rewrites of one question, at most cfg.max_variants of them."""
     variants = []
@@ -101,10 +97,10 @@ def builtin_rewrite(question: str, cfg: PipelineConfig) -> list:
             continue
         for template in templates:
             variants.append(template.format(*m.groups()))
-    seen = {_normalize(question)}
+    seen = {lower_squeeze(question)}
     unique = []
     for v in variants:
-        norm = _normalize(v)
+        norm = lower_squeeze(v)
         if norm in seen:
             continue
         seen.add(norm)
@@ -232,13 +228,17 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
 
     Each accepted rewrite becomes a new pair carrying the same answer and a
     parent_id pointing at its source pair. A batch whose response ids are not
-    exactly its request ids counts as an unavailable rewriter. A mode/pivot
-    pair that RewriteRequest rejects raises ValueError before any rewriter
-    call.
+    exactly its request ids counts as an unavailable rewriter. Repeated input
+    qa_ids raise MalformedInput, and a mode/pivot pair that RewriteRequest
+    rejects raises ValueError, both before any rewriter call.
     """
     pairs = list(pairs)
     if not pairs:
         raise MalformedInput("augment_batch needs at least one pair")
+    # responses and derived ids are keyed by qa_id, so each must be unique
+    repeated = sorted(i for i, n in Counter(p.qa_id for p in pairs).items() if n > 1)
+    if repeated:
+        raise MalformedInput(f"repeated qa_id(s) in augment input: {repeated[:5]}")
     mode = cfg.augment_mode
     pivot = cfg.pivot_language or None
     responses = {}
@@ -271,12 +271,12 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
             continue
         rng = stream(cfg.seed, pair.qa_id, "augment-keep")
         base_mention = _mentions(pair.question, pair.answer)
-        seen = {_normalize(pair.question)}
+        seen = {lower_squeeze(pair.question)}
         ordinal = 0
         for rewrite in resp.rewrites:
             if ordinal >= cfg.max_variants:
                 break
-            norm = _normalize(rewrite)
+            norm = lower_squeeze(rewrite)
             if not norm or norm in seen:
                 continue
             seen.add(norm)

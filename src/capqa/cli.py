@@ -156,34 +156,42 @@ def _worker_pairs(record) -> list:
 # --- output plumbing --------------------------------------------------------------
 
 
-def _atomic_write(path: str, writer):
-    """Run writer against a temp path, then move into place; a failure leaves
-    nothing at the target."""
-    tmp = f"{path}.partial"
+def _publish(path: str, writer, command=None, cfg=None, counts=None):
+    """Write `path` through `writer` and, given a command, its run manifest.
+
+    Both are staged to `.partial` files first. Then the old manifest goes, the
+    output moves in, and its manifest last, so a failure leaves the previous
+    pair, or the new output with no manifest, but never an output beside
+    another run's manifest. `counts` maps the writer's result to the
+    manifest's counts. Returns the writer's result.
+    """
+    manifest = f"{path}.manifest.json"
+    staged = {path: f"{path}.partial"}  # target -> staging file, in move order
     try:
-        result = writer(tmp)
-        os.replace(tmp, path)
+        result = writer(staged[path])
+        if command is not None:
+            staged[manifest] = f"{manifest}.partial"
+            _write_json({
+                "command": command,
+                "config": cfg.to_json_dict(),
+                "outputs": [str(path)],
+                "counts": counts(result),
+            }, staged[manifest])
+            if os.path.exists(manifest):
+                os.unlink(manifest)
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
         return result
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _write_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_run_manifest(out_path: str, command: str, cfg: PipelineConfig,
-                        counts: dict) -> None:
-    doc = {
-        "command": command,
-        "config": cfg.to_json_dict(),
-        "outputs": [str(out_path)],
-        "counts": counts,
-    }
-    _atomic_write(f"{out_path}.manifest.json", lambda p: _write_json(doc, p))
 
 
 def _emit(payload: dict) -> None:
@@ -209,9 +217,12 @@ def _cmd_generate(args) -> int:
                 acc.add(qa)
                 yield qa
 
+    def publish(per_record):
+        return _publish(args.out, lambda p: write_jsonl(rows(per_record), p),
+                        "generate", cfg, lambda n: {"pairs": n})
+
     if cfg.workers == 1:
-        per_record = (_record_pairs(record, ctx) for record in records)
-        count = _atomic_write(args.out, lambda p: write_jsonl(rows(per_record), p))
+        count = publish(_record_pairs(record, ctx) for record in records)
     else:
         # loads multiprocessing and socket, which no single-process run needs
         from concurrent.futures import ProcessPoolExecutor
@@ -222,9 +233,7 @@ def _cmd_generate(args) -> int:
             initargs=(ctx,),
         ) as pool:
             chunksize = max(1, -(-len(records) // (cfg.workers * 4)))
-            per_record = pool.map(_worker_pairs, records, chunksize=chunksize)
-            count = _atomic_write(args.out, lambda p: write_jsonl(rows(per_record), p))
-    _write_run_manifest(args.out, "generate", cfg, {"pairs": count})
+            count = publish(pool.map(_worker_pairs, records, chunksize=chunksize))
     _emit(acc.report().to_json_dict() if count else {"total": 0})
     return 0
 
@@ -239,8 +248,8 @@ def _cmd_augment(args) -> int:
     lex = _lexicons(cfg)
     for qa in out_pairs:
         _ensure_weights(qa, lex)
-    count = _atomic_write(args.out, lambda p: write_jsonl(out_pairs, p))
-    _write_run_manifest(args.out, "augment", cfg, {"pairs": count})
+    count = _publish(args.out, lambda p: write_jsonl(out_pairs, p),
+                     "augment", cfg, lambda n: {"pairs": n})
     _emit({"pairs": count, "new": count - len(pairs)})
     return 0
 
@@ -256,8 +265,8 @@ def _cmd_weigh(args) -> int:
         if not qa.weights:
             _ensure_weights(qa, lex)
             filled += 1
-    count = _atomic_write(args.out, lambda p: write_jsonl(pairs, p))
-    _write_run_manifest(args.out, "weigh", cfg, {"pairs": count, "weighed": filled})
+    count = _publish(args.out, lambda p: write_jsonl(pairs, p),
+                     "weigh", cfg, lambda n: {"pairs": n, "weighed": filled})
     _emit({"pairs": count, "weighed": filled})
     return 0
 
@@ -272,8 +281,7 @@ def _cmd_vocab(args) -> int:
     def write(path):
         save_vocab_file(vocab, path)
         return len(vocab.phrases)
-    count = _atomic_write(args.out, write)
-    _write_run_manifest(args.out, "vocab", cfg, {"phrases": count})
+    count = _publish(args.out, write, "vocab", cfg, lambda n: {"phrases": n})
     _emit({"phrases": count})
     return 0
 
@@ -307,9 +315,8 @@ def _cmd_patches(args) -> int:
         else:
             width, height = rec.width, rec.height
         specs.append(pyramid(rec.image_id, width, height, cfg.levels))
-    count = _atomic_write(args.out, lambda p: write_manifest(specs, p))
-    _write_run_manifest(args.out, "patches", cfg,
-                        {"images": len(specs), "entries": count})
+    count = _publish(args.out, lambda p: write_manifest(specs, p),
+                     "patches", cfg, lambda n: {"images": len(specs), "entries": n})
     _emit({"images": len(specs), "entries": count})
     return 0
 
@@ -342,8 +349,8 @@ def _cmd_pretrain(args) -> int:
                 "itm: %d image(s) had too few disjoint captions; %d negative(s) missing",
                 short_images, missing,
             )
-    count = _atomic_write(args.out, lambda p: write_samples(samples, p))
-    _write_run_manifest(args.out, "pretrain", cfg, {"samples": count})
+    count = _publish(args.out, lambda p: write_samples(samples, p),
+                     "pretrain", cfg, lambda n: {"samples": n})
     _emit({"samples": count})
     return 0
 
@@ -362,9 +369,8 @@ def _cmd_sample_epoch(args) -> int:
         rng = stream(cfg.seed, args.epoch, image_id)
         keep.update(rng.sample(positions, min(k, len(positions))))
     sampled = [qa for pos, qa in enumerate(pairs) if pos in keep]
-    count = _atomic_write(args.out, lambda p: write_jsonl(sampled, p))
-    _write_run_manifest(args.out, "sample-epoch", cfg,
-                        {"pairs": count, "epoch": args.epoch})
+    count = _publish(args.out, lambda p: write_jsonl(sampled, p),
+                     "sample-epoch", cfg, lambda n: {"pairs": n, "epoch": args.epoch})
     _emit({"pairs": count, "images": len(by_image), "epoch": args.epoch})
     return 0
 
@@ -374,14 +380,12 @@ def _cmd_stats(args) -> int:
     rep = report(read_jsonl(require_file(args.input, "--in")))
     doc = rep.to_json_dict()
     if args.out:
-        _atomic_write(args.out, lambda p: _write_json(doc, p))
-        _write_run_manifest(args.out, "stats", cfg, {"pairs": rep.total})
+        _publish(args.out, lambda p: _write_json(doc, p),
+                 "stats", cfg, lambda _: {"pairs": rep.total})
     if args.embeddings_out:
         store = load_vectors(require_file(cfg.vectors, "--vectors"))
         pairs = read_jsonl(args.input)
-        written = _atomic_write(
-            args.embeddings_out, lambda p: export_embeddings(pairs, store, p)
-        )
+        written = _publish(args.embeddings_out, lambda p: export_embeddings(pairs, store, p))
         doc = dict(doc)
         doc["embeddings_exported"] = written
     _emit(doc)

@@ -8,10 +8,10 @@ command-line flags.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass, fields
 
+from . import files
 from .errors import MalformedInput
 
 GENERATORS = ("yesno", "object", "number", "color", "location", "srl")
@@ -103,22 +103,16 @@ FIELD_NAMES = tuple(f.name for f in fields(PipelineConfig))
 
 def load_config(path) -> PipelineConfig:
     """Read a UTF-8 JSON object into a PipelineConfig; unknown keys fail."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"config file {path} is not valid JSON: {exc}") from exc
+    return files.read_json(path, _config_from)
+
+
+def _config_from(doc) -> PipelineConfig:
     if not isinstance(doc, dict):
-        raise MalformedInput(f"config file {path} must hold a JSON object")
+        raise MalformedInput("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(FIELD_NAMES))
     if unknown:
-        raise MalformedInput(f"config file {path} has unknown keys: {', '.join(unknown)}")
-    try:
-        return PipelineConfig(**doc)
-    except TypeError as exc:
-        raise MalformedInput(f"config file {path}: {exc}") from exc
+        raise MalformedInput(f"unknown config keys: {', '.join(unknown)}")
+    return PipelineConfig(**doc)
 
 
 def resolve(file_config: PipelineConfig = None, overrides: dict = None) -> PipelineConfig:

@@ -9,11 +9,11 @@ reproducible regardless of annotation order on disk.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from . import files
 from .errors import EmptyCorpus, MalformedInput
 
 log = logging.getLogger(__name__)
@@ -40,15 +40,18 @@ class Corpus:
 
 
 def load_coco(path) -> Corpus:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read caption file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"caption file {path} is not valid JSON: {exc}") from exc
+    records, dropped = files.read_json(path, _records)
+    if dropped:
+        log.info("dropped %d blank or malformed annotations from %s", dropped, path)
+    if not records:
+        raise EmptyCorpus(f"no usable captions in {path}")
+    return Corpus(records=records, source_path=str(path))
+
+
+def _records(doc):
+    """Caption records in ascending image_id, and the count of annotations dropped."""
     if not isinstance(doc, dict) or not isinstance(doc.get("annotations"), list):
-        raise MalformedInput(f"caption file {path} lacks an 'annotations' array")
+        raise MalformedInput("caption file lacks an 'annotations' array")
 
     dims = {}
     for img in doc.get("images") or []:
@@ -70,8 +73,6 @@ def load_coco(path) -> Corpus:
             dropped += 1
             continue
         grouped.setdefault(image_id, []).append(caption)
-    if dropped:
-        log.info("dropped %d blank or malformed annotations from %s", dropped, path)
 
     records = []
     for image_id in sorted(grouped):
@@ -84,23 +85,4 @@ def load_coco(path) -> Corpus:
                 height=height if isinstance(height, int) else None,
             )
         )
-    if not records:
-        raise EmptyCorpus(f"no usable captions in {path}")
-    return Corpus(records=records, source_path=str(path))
-
-
-def save_coco(corpus: Corpus, path) -> None:
-    annotations = []
-    images = []
-    ann_id = 1
-    for rec in corpus.records:
-        if rec.width is not None and rec.height is not None:
-            images.append({"id": rec.image_id, "width": rec.width, "height": rec.height})
-        for caption in rec.captions:
-            annotations.append({"id": ann_id, "image_id": rec.image_id, "caption": caption})
-            ann_id += 1
-    doc = {"annotations": annotations}
-    if images:
-        doc["images"] = images
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False)
+    return records, dropped

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import files
 from .errors import MalformedInput, UnknownWord, ZeroVector
 from .lingo import WORD_RE, singularize
 
@@ -58,36 +59,28 @@ def make_store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
 def load_vectors(path) -> EmbeddingStore:
     import numpy as np
 
-    vectors: dict[str, np.ndarray] = {}
-    order: list[str] = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise MalformedInput(f"{path}:{lineno}: no vector components")
-            word = parts[0].lower()
-            try:
-                arr = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedInput(f"{path}:{lineno}: non-numeric component") from exc
-            if not np.all(np.isfinite(arr)):
-                raise MalformedInput(f"{path}:{lineno}: non-finite component")
-            if dim is None:
-                dim = arr.size
-            elif arr.size != dim:
-                raise MalformedInput(
-                    f"{path}:{lineno}: {arr.size} dims, expected {dim}"
-                )
-            if word in vectors:
-                continue
-            vectors[word] = arr
-            order.append(word)
+
+    def parse(line):
+        nonlocal dim
+        parts = line.split()
+        if len(parts) < 2:
+            raise MalformedInput("no vector components")
+        arr = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise MalformedInput("non-finite component")
+        if dim is None:
+            dim = arr.size
+        elif arr.size != dim:
+            raise MalformedInput(f"{arr.size} dims, expected {dim}")
+        return parts[0].lower(), arr
+
+    vectors: dict[str, np.ndarray] = {}
+    for word, arr in files.read_lines(path, parse):
+        vectors.setdefault(word, arr)
     if not vectors:
         raise MalformedInput(f"no vectors in {path}")
-    return EmbeddingStore(dim=int(dim), vectors=vectors, vocab_order=order)
+    return EmbeddingStore(dim=int(dim), vectors=vectors, vocab_order=list(vectors))
 
 
 def _vector(word: str, store: EmbeddingStore) -> np.ndarray:

@@ -10,13 +10,13 @@ coverage for determinism and zero model dependencies.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from . import files
 from . import wordlists as wl
 from .errors import MalformedInput
 
@@ -91,30 +91,35 @@ class Lexicons:
     def load(cls, path) -> "Lexicons":
         """Default lexicons with entries from a JSON override file merged in.
 
-        The file may carry any of the keys `colors`, `locations`, `antonyms`,
-        `number_words`; values extend (not replace) the embedded lists.
+        The file may carry any of the keys `colors`, `locations` (lists) and
+        `antonyms`, `number_words` (objects); values extend (not replace) the
+        embedded lists.
         """
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MalformedInput(f"cannot read lexicon file {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise MalformedInput(f"lexicon file {path} must hold a JSON object")
-        base = cls.default()
-        colors = base.colors | {str(w).lower() for w in data.get("colors", [])}
-        locations = base.locations | {str(w).lower() for w in data.get("locations", [])}
-        antonyms = dict(base.antonyms)
-        antonyms.update({str(k).lower(): str(v).lower() for k, v in data.get("antonyms", {}).items()})
-        number_words = dict(base.number_words)
-        number_words.update({str(k).lower(): str(v) for k, v in data.get("number_words", {}).items()})
-        return replace(
-            base,
-            colors=colors,
-            locations=locations,
-            antonyms=antonyms,
-            number_words=number_words,
-        )
+        return files.read_json(path, _merged_lexicons)
+
+
+def _merged_lexicons(data) -> Lexicons:
+    if not isinstance(data, dict):
+        raise MalformedInput("lexicon file must hold a JSON object")
+    for key, kind, name in (("colors", list, "a list"), ("locations", list, "a list"),
+                            ("antonyms", dict, "an object"),
+                            ("number_words", dict, "an object")):
+        if not isinstance(data.get(key, kind()), kind):
+            raise MalformedInput(f"lexicon {key!r} must be {name}")
+    base = Lexicons.default()
+    colors = base.colors | {str(w).lower() for w in data.get("colors", [])}
+    locations = base.locations | {str(w).lower() for w in data.get("locations", [])}
+    antonyms = dict(base.antonyms)
+    antonyms.update({str(k).lower(): str(v).lower() for k, v in data.get("antonyms", {}).items()})
+    number_words = dict(base.number_words)
+    number_words.update({str(k).lower(): str(v) for k, v in data.get("number_words", {}).items()})
+    return replace(
+        base,
+        colors=colors,
+        locations=locations,
+        antonyms=antonyms,
+        number_words=number_words,
+    )
 
 
 @lru_cache(maxsize=1)
@@ -280,6 +285,29 @@ def _chunk(tokens, lex: Lexicons):
         else:
             i = max(j, i + 1)
     return nps
+
+
+def token_index(tokens, tok) -> int:
+    """Position of `tok` (by identity) in `tokens`."""
+    for i, t in enumerate(tokens):
+        if t is tok:
+            return i
+    raise ValueError("token not part of this analysis")
+
+
+def subject_np(tokens, nps):
+    """First noun phrase not governed by a preposition, with its start index;
+    (None, -1) when every phrase follows one."""
+    for np_ in nps:
+        idx = token_index(tokens, np_.tokens[0])
+        if idx == 0 or tokens[idx - 1].pos != ADP:
+            return np_, idx
+    return None, -1
+
+
+def lower_squeeze(text: str) -> str:
+    """`text` lowercased and stripped, each whitespace run squeezed to one space."""
+    return re.sub(r"\s+", " ", text.strip().lower())
 
 
 def strip_aux(tokens, lex: Lexicons) -> str:

@@ -13,9 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BadDims, BadLevels, MalformedInput
-
-DEFAULT_LEVELS = (1, 3, 5, 7)
+from .errors import BadDims, BadLevels
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,10 @@ def _axis_bounds(size: int, k: int):
     return [(grid[c], grid[c + 2]) for c in range(k)]
 
 
-def pyramid(image_id: int, width: int, height: int, levels=None) -> PatchSpec:
+def pyramid(image_id: int, width: int, height: int, levels) -> PatchSpec:
     if not isinstance(width, int) or not isinstance(height, int) or width <= 0 or height <= 0:
         raise BadDims(f"image {image_id}: {width}x{height}")
-    lv = tuple(levels) if levels is not None else DEFAULT_LEVELS
+    lv = tuple(levels)
     if not lv:
         raise BadLevels("no levels given")
     for k in lv:
@@ -104,51 +102,3 @@ def write_manifest(specs: Iterable[PatchSpec], path) -> int:
                 fh.write("\n")
                 count += 1
     return count
-
-
-def read_manifest(path) -> list[PatchSpec]:
-    """Rebuild specs from a manifest. Image extents are recovered from the
-    outermost patch edges (exact, since the last window on each axis ends at
-    the image border)."""
-    per_image: dict[int, list[PatchEntry]] = {}
-    order: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-                entry = PatchEntry(
-                    level=int(d["level"]),
-                    row=int(d["row"]),
-                    col=int(d["col"]),
-                    rect=tuple(d["rect"]),
-                    pos_enc=tuple(d["pos_enc"]),
-                )
-                image_id = int(d["image_id"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedInput(f"{path}:{lineno}: {exc}") from exc
-            if image_id not in per_image:
-                per_image[image_id] = []
-                order.append(image_id)
-            per_image[image_id].append(entry)
-
-    specs = []
-    for image_id in order:
-        entries = per_image[image_id]
-        width = max(e.rect[2] for e in entries)
-        height = max(e.rect[3] for e in entries)
-        levels = []
-        for e in entries:
-            if e.level not in levels:
-                levels.append(e.level)
-        specs.append(
-            PatchSpec(
-                image_id=image_id,
-                width=width,
-                height=height,
-                levels=tuple(levels),
-                patches=tuple(entries),
-            )
-        )
-    return specs

@@ -14,15 +14,12 @@ and rounded to six decimals on disk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from . import files
 from .errors import MalformedInput
 from .rng import stable_id
-
-ANSWER_TYPES = ("yesno", "number", "color", "location", "object", "phrase")
-SOURCES = ("template", "negation", "adversarial", "srl", "paraphrase", "backtranslate")
 
 
 @dataclass
@@ -74,13 +71,8 @@ def from_json_dict(d: dict) -> QAPair:
     missing = [k for k in _REQUIRED if k not in d]
     if missing:
         raise MalformedInput(f"qa record lacks keys: {', '.join(missing)}")
-    weights = None
     raw = d.get("weights")
-    if raw:
-        try:
-            weights = [(e["phrase"], float(e["weight"])) for e in raw]
-        except (TypeError, KeyError, ValueError) as exc:
-            raise MalformedInput(f"bad weights array: {exc}") from exc
+    weights = [(e["phrase"], float(e["weight"])) for e in raw] if raw else None
     return QAPair(
         qa_id=str(d["qa_id"]),
         image_id=int(d["image_id"]),
@@ -109,12 +101,4 @@ def write_jsonl(pairs: Iterable[QAPair], path) -> int:
 
 
 def read_jsonl(path) -> Iterator[QAPair]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield from_json_dict(d)
+    yield from files.read_json_lines(path, from_json_dict)

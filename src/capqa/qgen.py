@@ -18,7 +18,7 @@ from . import wordlists as wl
 from .config import PipelineConfig
 from .embed import EmbeddingStore, nearest
 from .errors import Unsupported, ZeroVector
-from .lingo import ADP, AUX, NOUN, OTHER, PROPN, VERB, Lexicons
+from .lingo import ADP, AUX, NOUN, OTHER, PROPN, VERB, Lexicons, subject_np, token_index
 from .qa import QAPair, derived_qa_id, make_qa_id
 from .rng import stream
 
@@ -69,28 +69,12 @@ def _words(tokens) -> str:
     return " ".join(parts)
 
 
-def _tok_index(tokens, tok) -> int:
-    for i, t in enumerate(tokens):
-        if t is tok:
-            return i
-    raise ValueError("token not part of this analysis")
-
-
 def _is_plural(token) -> bool:
     return token.lemma != token.text.lower()
 
 
 def _be(plural: bool) -> str:
     return "are" if plural else "is"
-
-
-def _subject_np(tokens, nps):
-    """First noun phrase not governed by a preposition, with its start index."""
-    for np_ in nps:
-        idx = _tok_index(tokens, np_.tokens[0])
-        if idx == 0 or tokens[idx - 1].pos != ADP:
-            return np_, idx
-    return None, -1
 
 
 def _definite_phrase(tokens, determiner) -> str:
@@ -163,7 +147,7 @@ def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicon
     if not nps:
         return []
     rng = stream(cfg.seed, record.image_id, caption_index, "yesno")
-    subject, _ = _subject_np(tokens, nps)
+    subject, _ = subject_np(tokens, nps)
     if subject is None:
         subject = nps[0]
     prefix = _agree_prefix(rng.choice(list(cfg.yesno_prefixes)), _is_plural(subject.head))
@@ -217,7 +201,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
     """Replace noun phrases with "what"; the removed phrase is the answer."""
     tokens, nps = analysis
     pairs = []
-    subject, subj_idx = _subject_np(tokens, nps)
+    subject, subj_idx = subject_np(tokens, nps)
 
     def emit(question, answer):
         pairs.append(
@@ -242,7 +226,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
         is_subject = np_ is subject
         if is_subject:
             if np_.head.lemma not in lex.persons:
-                end = _tok_index(tokens, np_.tokens[-1]) + 1
+                end = token_index(tokens, np_.tokens[-1]) + 1
                 rest = tokens[end:]
                 if rest and not (rest[0].pos == OTHER and rest[0].text.lower() in wl.CONJUNCTIONS):
                     parts = ["what"]
@@ -255,11 +239,11 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
             if subj_idx == 0 and len(nouns) >= 2:
                 first = nouns[0]
                 if first.lemma not in lex.persons and first.lemma not in wl.RELATIONAL_NOUNS:
-                    after = tokens[_tok_index(tokens, first) + 1:]
+                    after = tokens[token_index(tokens, first) + 1:]
                     emit(_finish(["what", _words(after)]), first.text.lower())
         elif subject is not None and np_.tokens[0].span > subject.tokens[0].span:
             # a phrase before the subject would be asked without its context
-            subj_end = _tok_index(tokens, subject.tokens[-1]) + 1
+            subj_end = token_index(tokens, subject.tokens[-1]) + 1
             target_ids = {id(t) for t in np_.tokens}
             aux_tok = next((t for t in tokens if t.pos == AUX), None)
             remainder = [
@@ -307,7 +291,7 @@ def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexico
         rest = " ".join(rest_words)
 
         post = []
-        for t in tokens[_tok_index(tokens, np_.tokens[-1]) + 1:]:
+        for t in tokens[token_index(tokens, np_.tokens[-1]) + 1:]:
             if t.text.lower() in wl.CONJUNCTIONS:
                 break
             post.append(t)
@@ -354,7 +338,7 @@ def gen_color(record, caption_index, analysis):
 
 def gen_location(record, caption_index, analysis, lex: Lexicons):
     tokens, nps = analysis
-    subject, subj_idx = _subject_np(tokens, nps)
+    subject, subj_idx = subject_np(tokens, nps)
     start_of = {id(np_.tokens[0]): np_ for np_ in nps}
     pairs = []
     for i in range(len(tokens) - 1):
@@ -411,7 +395,7 @@ def _negate_yesno_question(question: str, lex: Lexicons) -> str:
     if len(words) >= 2 and low[1] in _DEMONSTRATIVES:
         return _splice(words, insert_at=2, insert_word="not")
     tokens, nps = lingo.analyze(question, lex)
-    after_subject = _tok_index(tokens, nps[0].tokens[-1]) + 1 if nps else 1
+    after_subject = token_index(tokens, nps[0].tokens[-1]) + 1 if nps else 1
     return _splice(words, insert_at=after_subject, insert_word="not")
 
 

@@ -10,13 +10,12 @@ a generic filler while modifier arguments are dropped.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
-from . import lingo
+from . import files, lingo
 from .errors import MalformedInput
-from .lingo import ADP, Lexicons
+from .lingo import Lexicons
 from .qa import QAPair, make_qa_id
 
 log = logging.getLogger(__name__)
@@ -60,7 +59,7 @@ class SrlFrame:
     caption: str = ""
 
 
-def _normalize_role(raw, lineno: int) -> str:
+def _normalize_role(raw) -> str:
     role = str(raw).upper()
     if role in _ROLES:
         return role
@@ -68,10 +67,10 @@ def _normalize_role(raw, lineno: int) -> str:
         return _PROPBANK[role]
     if role.startswith("ARGM-"):
         return "OTHER"
-    raise MalformedInput(f"line {lineno}: unknown role label {raw!r}")
+    raise MalformedInput(f"unknown role label {raw!r}")
 
 
-def _parse_span(raw, lineno: int) -> tuple:
+def _parse_span(raw) -> tuple:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
@@ -79,8 +78,51 @@ def _parse_span(raw, lineno: int) -> tuple:
         or raw[0] < 0
         or raw[0] > raw[1]
     ):
-        raise MalformedInput(f"line {lineno}: bad span {raw!r}")
+        raise MalformedInput(f"bad span {raw!r}")
     return (raw[0], raw[1])
+
+
+def _parse_frame(d, by_id):
+    """One frame line as an SrlFrame, or None when it points at no known caption."""
+    if not isinstance(d, dict):
+        raise MalformedInput("frame is not an object")
+    image_id = int(d["image_id"])
+    caption_index = int(d["caption_index"])
+    pred_raw = d["predicate"]
+    lemma = str(pred_raw["lemma"])
+    pred_span = _parse_span(pred_raw["span"])
+    args_raw = d["args"]
+    if not lemma:
+        raise MalformedInput("empty predicate lemma")
+
+    args = []
+    seen_core = set()
+    for a in args_raw:
+        role = _normalize_role(a["role"])
+        text = str(a["text"])
+        arg_span = _parse_span(a["span"])
+        if not text:
+            raise MalformedInput("empty argument text")
+        if role in ("AGENT", "PATIENT"):
+            if role in seen_core:
+                raise MalformedInput(f"duplicate {role} argument")
+            seen_core.add(role)
+        args.append(SrlArg(role=role, text=text, span=arg_span))
+
+    record = by_id.get(image_id)
+    if record is None or not 0 <= caption_index < len(record.captions):
+        return None
+    caption = record.captions[caption_index]
+    for sp in [pred_span] + [a.span for a in args]:
+        if sp[1] > len(caption):
+            raise MalformedInput(f"span {sp} exceeds caption length {len(caption)}")
+    return SrlFrame(
+        image_id=image_id,
+        caption_index=caption_index,
+        predicate=SrlPredicate(lemma=lemma, span=pred_span),
+        args=tuple(args),
+        caption=caption,
+    )
 
 
 def load_frames(path, corpus) -> list:
@@ -90,72 +132,11 @@ def load_frames(path, corpus) -> list:
     counted warning); structural problems raise MalformedInput.
     """
     by_id = {rec.image_id: rec for rec in corpus.records}
-    frames = []
-    dropped = 0
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInput(f"cannot read frames file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(d, dict):
-                raise MalformedInput(f"{path}:{lineno}: frame is not an object")
-            try:
-                image_id = int(d["image_id"])
-                caption_index = int(d["caption_index"])
-                pred_raw = d["predicate"]
-                lemma = str(pred_raw["lemma"])
-                pred_span = _parse_span(pred_raw["span"], lineno)
-                args_raw = d["args"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedInput(f"{path}:{lineno}: malformed frame: {exc}") from exc
-            if not lemma:
-                raise MalformedInput(f"{path}:{lineno}: empty predicate lemma")
-
-            args = []
-            seen_core = set()
-            for a in args_raw:
-                try:
-                    role = _normalize_role(a["role"], lineno)
-                    text = str(a["text"])
-                    arg_span = _parse_span(a["span"], lineno)
-                except (KeyError, TypeError) as exc:
-                    raise MalformedInput(f"{path}:{lineno}: malformed arg: {exc}") from exc
-                if not text:
-                    raise MalformedInput(f"{path}:{lineno}: empty argument text")
-                if role in ("AGENT", "PATIENT"):
-                    if role in seen_core:
-                        raise MalformedInput(f"{path}:{lineno}: duplicate {role} argument")
-                    seen_core.add(role)
-                args.append(SrlArg(role=role, text=text, span=arg_span))
-
-            record = by_id.get(image_id)
-            if record is None or not 0 <= caption_index < len(record.captions):
-                dropped += 1
-                continue
-            caption = record.captions[caption_index]
-            for sp in [pred_span] + [a.span for a in args]:
-                if sp[1] > len(caption):
-                    raise MalformedInput(
-                        f"{path}:{lineno}: span {sp} exceeds caption length {len(caption)}"
-                    )
-            frames.append(
-                SrlFrame(
-                    image_id=image_id,
-                    caption_index=caption_index,
-                    predicate=SrlPredicate(lemma=lemma, span=pred_span),
-                    args=tuple(args),
-                    caption=caption,
-                )
-            )
-    if dropped:
-        log.warning("dropped %d frame(s) referencing unknown captions", dropped)
+    parsed = list(files.read_json_lines(path, lambda d: _parse_frame(d, by_id)))
+    frames = [frame for frame in parsed if frame is not None]
+    if len(frames) < len(parsed):
+        log.warning("dropped %d frame(s) referencing unknown captions",
+                    len(parsed) - len(frames))
     return frames
 
 
@@ -164,13 +145,8 @@ def animacy(phrase: str, lex: Lexicons) -> str:
     if not phrase or not phrase.strip():
         raise MalformedInput("empty phrase")
     tokens, nps = lingo.analyze(phrase, lex)
-    head = None
-    for np_ in nps:
-        idx = next(i for i, t in enumerate(tokens) if t is np_.tokens[0])
-        if idx == 0 or tokens[idx - 1].pos != ADP:
-            head = np_.head
-            break
-    lemma = head.lemma if head is not None else tokens[-1].lemma
+    subject, _ = lingo.subject_np(tokens, nps)
+    lemma = subject.head.lemma if subject is not None else tokens[-1].lemma
     return "animate" if lemma in lex.persons or lemma in lex.animals else "inanimate"
 
 

@@ -8,13 +8,13 @@ output so downstream comparisons know the normalization.
 
 from __future__ import annotations
 
-import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .embed import EmbeddingStore, mean_pool
 from .errors import EmptyStream
+from .lingo import lower_squeeze
 
 _ANSWER_NORMALIZATION = "lowercase, whitespace-squeezed"
 
@@ -28,10 +28,6 @@ def _tokens(text: str) -> list:
         if word:
             out.append(word)
     return out
-
-
-def _normalize_answer(answer: str) -> str:
-    return re.sub(r"\s+", " ", answer.strip().lower())
 
 
 @dataclass
@@ -85,9 +81,9 @@ class StatsAccumulator:
         self.type_counts[pair.answer_type] += 1
         if pair.answer_type == "yesno":
             self.yesno_count += 1
-            if _normalize_answer(pair.answer) == "yes":
+            if lower_squeeze(pair.answer) == "yes":
                 self.yes_count += 1
-        self.answers.add(_normalize_answer(pair.answer))
+        self.answers.add(lower_squeeze(pair.answer))
 
     def report(self) -> DatasetReport:
         if self.count == 0:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from capqa.answers import (
     build_vocab,
     expand_answer,
-    load_vocab_file,
     normalize_answer,
     save_vocab_file,
 )
@@ -171,13 +170,10 @@ def weighted_pair(answer, i=0):
     return make_pair(answer, i, weights=list(ws.entries))
 
 
-def test_vocab_file_round_trip(tmp_path):
+def test_vocab_file_lines(tmp_path):
     vocab = build_vocab([weighted_pair("two black cars")], min_count=1, lex=LEX)
     p = tmp_path / "vocab.txt"
     save_vocab_file(vocab, p)
-    text = p.read_text(encoding="utf-8")
-    first = text.splitlines()[0]
-    assert first == f"#capqa-vocab v1 count={len(vocab.phrases)}"
-    loaded = load_vocab_file(p)
-    assert loaded.phrases == vocab.phrases
-    assert loaded.index == vocab.index
+    header, *phrases = p.read_text(encoding="utf-8").split("\n")[:-1]
+    assert header == f"#capqa-vocab v1 count={len(vocab.phrases)}"
+    assert phrases == vocab.phrases

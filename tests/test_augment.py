@@ -149,6 +149,22 @@ def test_batch_empty_rejected():
         augment_batch([], "builtin", PARA)
 
 
+def test_batch_rejects_repeated_qa_ids_before_any_rewrite():
+    pairs = [
+        make_pair("How many cars are visible?", "2", qa_id="same", answer_type="number"),
+        make_pair("How many dogs are visible?", "3", qa_id="same", answer_type="number"),
+    ]
+    calls = []
+
+    def rewriter(batch):
+        calls.append(batch)
+        return [RewriteResponse(r.request_id, (r.text,)) for r in batch]
+
+    with pytest.raises(MalformedInput, match="'same'"):
+        augment_batch(pairs, rewriter, PARA)
+    assert calls == []
+
+
 def test_keep_probability_zero_drops_all_variants():
     cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, keep_probability=0.0)
     pair = make_pair("Is there a dog?", "yes")

@@ -148,25 +148,40 @@ class TestGenerate:
         assert manifest["counts"]["pairs"] == len(out.read_text().splitlines())
 
     def test_failed_manifest_rewrite_keeps_the_old_one(self, demo_coco, tmp_path,
-                                                       monkeypatch):
-        from capqa.cli import _write_run_manifest
-
+                                                       monkeypatch, capsys):
         out = tmp_path / "qa.jsonl"
-        assert run_generate(demo_coco, out) == 0
         manifest = tmp_path / "qa.jsonl.manifest.json"
-        before = manifest.read_bytes()
+        assert run_generate(demo_coco, out, "--seed", "1") == 0
+        before = (out.read_bytes(), manifest.read_bytes())
 
         def dump_then_fail(obj, fh, **kwargs):
             fh.write('{"command": ')
             raise OSError("synthetic failure")
 
         monkeypatch.setattr(json, "dump", dump_then_fail)
-        with pytest.raises(OSError, match="synthetic"):
-            _write_run_manifest(str(out), "generate", PipelineConfig(seed=8), {"pairs": 0})
-        assert manifest.read_bytes() == before
+        assert run_generate(demo_coco, out, "--seed", "8") == 1
+        assert "synthetic failure" in capsys.readouterr().err
+        assert (out.read_bytes(), manifest.read_bytes()) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "captions.json", "qa.jsonl", "qa.jsonl.manifest.json"
         ]
+
+    def test_failed_manifest_move_leaves_no_stale_manifest(self, demo_coco, tmp_path,
+                                                           monkeypatch, capsys):
+        out = tmp_path / "qa.jsonl"
+        assert run_generate(demo_coco, out, "--seed", "1") == 0
+        real_replace = os.replace
+
+        def fail_on_manifest(src, dst):
+            if str(dst).endswith(".manifest.json"):
+                raise OSError("synthetic failure")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_manifest)
+        assert run_generate(demo_coco, out, "--seed", "8") == 1
+        assert "synthetic failure" in capsys.readouterr().err
+        # the seed-8 rows stand alone: the seed-1 manifest is gone, not beside them
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["captions.json", "qa.jsonl"]
 
     def test_same_seed_byte_identical(self, demo_coco, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -694,20 +709,83 @@ class TestUsageErrors:
 
 
 class TestAtomicOutputs:
-    def test_failed_write_leaves_no_partial(self, tmp_path):
-        from capqa.cli import _atomic_write
+    def test_failed_write_leaves_no_partial(self, demo_coco, tmp_path, monkeypatch,
+                                            capsys):
+        import capqa.cli
 
-        target = tmp_path / "out.jsonl"
-
-        def boom(path):
+        def boom(pairs, path):
             with open(path, "w") as fh:
                 fh.write("partial data")
             raise MalformedInput("synthetic failure")
 
-        with pytest.raises(MalformedInput):
-            _atomic_write(str(target), boom)
-        assert not target.exists()
-        assert not os.path.exists(str(target) + ".partial")
+        monkeypatch.setattr(capqa.cli, "write_jsonl", boom)
+        assert run_generate(demo_coco, tmp_path / "out.jsonl") == 1
+        assert "synthetic failure" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["captions.json"]
+
+
+# --- bad input files --------------------------------------------------------------
+
+GOOD_ROW = {"qa_id": "q1", "image_id": 1, "question": "Is there a dog?", "answer": "yes",
+            "answer_type": "yesno", "source": "template", "source_caption": "A dog"}
+GOOD_FRAME = {"image_id": 3, "caption_index": 0,
+              "predicate": {"lemma": "hold", "span": [8, 15]},
+              "args": [{"role": "AGENT", "text": "A woman", "span": [0, 7]}]}
+
+
+def jsonl(*rows) -> bytes:
+    return b"".join(
+        row if isinstance(row, bytes) else json.dumps(row).encode() + b"\n" for row in rows
+    )
+
+
+# flag that takes the bad file, its bytes, and the line the error names (None for
+# whole-document formats); "--in" files go to weigh, the rest to generate
+BAD_INPUTS = {
+    "captions-not-utf8": ("--captions",
+                          b'{"annotations": [{"image_id": 1, "caption": "a \xff dog"}]}', None),
+    "config-not-utf8": ("--config", b'{"seed": 1, "captions": "\xff"}', None),
+    "lexicons-not-utf8": ("--lexicons", b'{"colors": ["\xff"]}', None),
+    "lexicons-colors-number": ("--lexicons", b'{"colors": 5}', None),
+    "lexicons-colors-string": ("--lexicons", b'{"colors": "red"}', None),
+    "vectors-not-utf8": ("--vectors", b"dog 1 0\ncat\xff 0 1\n", 2),
+    "frames-not-utf8": ("--srl-frames", jsonl(GOOD_FRAME, b"\n", b'{"\xff": 1}\n'), 3),
+    "frames-args-number": ("--srl-frames", jsonl(GOOD_FRAME, dict(GOOD_FRAME, args=5)), 2),
+    "qa-not-utf8": ("--in", jsonl(GOOD_ROW, b'{"qa_id": "\xff"}\n'), 2),
+    "qa-image-id-string": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, image_id="abc")), 2),
+    "qa-image-id-null": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, image_id=None)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_is_one_located_error_line(case, demo_coco, tmp_path, capsys):
+    flag, data, line = BAD_INPUTS[case]
+    bad = tmp_path / "bad-input"
+    bad.write_bytes(data)
+    out = str(tmp_path / "out.jsonl")
+    if flag == "--in":
+        argv = ["weigh", "--in", str(bad), "--out", out]
+    else:
+        paths = {"--captions": demo_coco, flag: str(bad)}
+        argv = ["generate", "--out", out, *[x for item in paths.items() for x in item]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    where = f"{bad}:{line}" if line else str(bad)
+    assert err.startswith(f"error: {where}: ")
+    assert not os.path.exists(out)
+
+
+def test_augment_repeated_qa_id_exit_1(tmp_path, capsys):
+    src = tmp_path / "pairs.jsonl"
+    src.write_bytes(jsonl(dict(GOOD_ROW, qa_id="same"),
+                          dict(GOOD_ROW, qa_id="same", question="Is there a cat?")))
+    out = tmp_path / "x.jsonl"
+    assert main(["augment", "--in", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'same'" in err
+    assert not out.exists()
 
 
 # --- import cost -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from capqa.corpus import CaptionRecord, Corpus, load_coco, save_coco
+from capqa.corpus import CaptionRecord, Corpus, load_coco
 from capqa.errors import EmptyCorpus, MalformedInput
 
 
@@ -150,20 +150,6 @@ def test_caption_count_conservation(pairs):
     assert sum(len(r.captions) for r in corpus.records) == len(valid)
     ids = [r.image_id for r in corpus.records]
     assert ids == sorted(ids) and len(ids) == len(set(ids))
-
-
-def test_load_save_load_round_trip(tmp_path):
-    anns = [
-        {"image_id": 2, "caption": "b"},
-        {"image_id": 1, "caption": "a"},
-        {"image_id": 2, "caption": "c"},
-    ]
-    p = write_coco(tmp_path, anns, images=[{"id": 1, "width": 10, "height": 20}])
-    corpus = load_coco(p)
-    q = tmp_path / "resaved.json"
-    save_coco(corpus, q)
-    again = load_coco(q)
-    assert again.records == corpus.records
 
 
 def test_caption_record_equality():
