@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import files
 from . import wordlists as wl
 from .errors import EmptyVocab, MalformedInput
 from .lingo import WORD_RE, Lexicons, pluralize, singularize
@@ -146,9 +147,7 @@ def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> AnswerVocab:
     return AnswerVocab(phrases=kept, index={p: i for i, p in enumerate(kept)})
 
 
-def save_vocab_file(vocab: AnswerVocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#capqa-vocab v1 count={len(vocab.phrases)}\n")
-        for p in vocab.phrases:
-            fh.write(p)
-            fh.write("\n")
+def save_vocab_file(vocab: AnswerVocab, path) -> int:
+    """A header line, then one phrase per line; returns the phrase count."""
+    header = f"#capqa-vocab v1 count={len(vocab.phrases)}"
+    return files.write_lines(path, itertools.chain((header,), vocab.phrases)) - 1

@@ -266,9 +266,7 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
     out = []
     for pair in pairs:
         out.append(pair)
-        resp = responses.get(pair.qa_id)
-        if resp is None:
-            continue
+        resp = responses[pair.qa_id]
         rng = stream(cfg.seed, pair.qa_id, "augment-keep")
         base_mention = _mentions(pair.question, pair.answer)
         seen = {lower_squeeze(pair.question)}

@@ -9,6 +9,7 @@ bytes. Exit codes: 0 ok, 1 error, 2 bad usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -16,6 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import files
 from .answers import build_vocab, expand_answer, save_vocab_file
 from .augment import augment_batch
 from .config import (
@@ -156,8 +158,8 @@ def _worker_pairs(record) -> list:
 # --- output plumbing --------------------------------------------------------------
 
 
-def _publish(path: str, writer, command=None, cfg=None, counts=None):
-    """Write `path` through `writer` and, given a command, its run manifest.
+def _publish(path: str, writer, command: str, cfg: PipelineConfig, counts):
+    """Write `path` through `writer`, and its run manifest.
 
     Both are staged to `.partial` files first. Then the old manifest goes, the
     output moves in, and its manifest last, so a failure leaves the previous
@@ -166,19 +168,18 @@ def _publish(path: str, writer, command=None, cfg=None, counts=None):
     manifest's counts. Returns the writer's result.
     """
     manifest = f"{path}.manifest.json"
-    staged = {path: f"{path}.partial"}  # target -> staging file, in move order
+    # target -> staging file, in move order
+    staged = {path: f"{path}.partial", manifest: f"{manifest}.partial"}
     try:
         result = writer(staged[path])
-        if command is not None:
-            staged[manifest] = f"{manifest}.partial"
-            _write_json({
-                "command": command,
-                "config": cfg.to_json_dict(),
-                "outputs": [str(path)],
-                "counts": counts(result),
-            }, staged[manifest])
-            if os.path.exists(manifest):
-                os.unlink(manifest)
+        _write_json({
+            "command": command,
+            "config": dataclasses.asdict(cfg),
+            "outputs": [str(path)],
+            "counts": counts(result),
+        }, staged[manifest])
+        if os.path.exists(manifest):
+            os.unlink(manifest)
         for target, tmp in staged.items():
             os.replace(tmp, target)
         return result
@@ -188,10 +189,8 @@ def _publish(path: str, writer, command=None, cfg=None, counts=None):
                 os.unlink(tmp)
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(doc: dict, path: str) -> int:
+    return files.write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def _emit(payload: dict) -> None:
@@ -278,10 +277,8 @@ def _cmd_vocab(args) -> int:
         lex=_lexicons(cfg),
         min_count=cfg.min_count,
     )
-    def write(path):
-        save_vocab_file(vocab, path)
-        return len(vocab.phrases)
-    count = _publish(args.out, write, "vocab", cfg, lambda n: {"phrases": n})
+    count = _publish(args.out, lambda p: save_vocab_file(vocab, p),
+                     "vocab", cfg, lambda n: {"phrases": n})
     _emit({"phrases": count})
     return 0
 
@@ -385,9 +382,9 @@ def _cmd_stats(args) -> int:
     if args.embeddings_out:
         store = load_vectors(require_file(cfg.vectors, "--vectors"))
         pairs = read_jsonl(args.input)
-        written = _publish(args.embeddings_out, lambda p: export_embeddings(pairs, store, p))
-        doc = dict(doc)
-        doc["embeddings_exported"] = written
+        doc["embeddings_exported"] = _publish(
+            args.embeddings_out, lambda p: export_embeddings(pairs, store, p),
+            "stats", cfg, lambda n: {"pairs": n})
     _emit(doc)
     return 0
 

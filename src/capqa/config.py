@@ -54,10 +54,19 @@ class PipelineConfig:
     default_dims: str = ""
 
     def __post_init__(self):
-        self.generators = tuple(self.generators)
-        self.yesno_prefixes = tuple(self.yesno_prefixes)
-        self.levels = tuple(self.levels)
-        self.tasks = tuple(self.tasks)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                kind = type(f.default[0])
+                if not isinstance(value, (list, tuple)) or not all(
+                        _fits(v, kind) for v in value):
+                    raise MalformedInput(f"bad config value: {f.name} must be a list "
+                                         f"of {kind.__name__}, got {value!r}")
+                setattr(self, f.name, tuple(value))
+            elif not _fits(value, type(f.default)):
+                raise MalformedInput(
+                    f"bad config value: {f.name} must be "
+                    f"{type(f.default).__name__}, got {value!r}")
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise MalformedInput(f"unknown generator {gen!r}; choose from {GENERATORS}")
@@ -91,11 +100,13 @@ class PipelineConfig:
         if self.questions_per_image_per_epoch < 1:
             raise MalformedInput("questions_per_image_per_epoch must be at least 1")
 
-    def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key in ("generators", "yesno_prefixes", "levels", "tasks"):
-            d[key] = list(d[key])
-        return d
+
+def _fits(value, kind) -> bool:
+    """`value` can stand for a field whose default is a `kind`: a bool only
+    for a bool, and an int for a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 FIELD_NAMES = tuple(f.name for f in fields(PipelineConfig))
@@ -130,12 +141,8 @@ def resolve(file_config: PipelineConfig = None, overrides: dict = None) -> Pipel
     for key, value in (overrides or {}).items():
         if key not in FIELD_NAMES:
             raise MalformedInput(f"unknown config field {key!r}")
-        if value is not None:
-            values[key] = value
-    try:
-        return PipelineConfig(**values)
-    except TypeError as exc:
-        raise MalformedInput(f"bad config value: {exc}") from exc
+        values[key] = value
+    return PipelineConfig(**values)
 
 
 def require_file(path: str, what: str) -> str:

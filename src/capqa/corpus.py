@@ -30,7 +30,6 @@ class CaptionRecord:
 @dataclass
 class Corpus:
     records: list[CaptionRecord] = field(default_factory=list)
-    source_path: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -45,7 +44,7 @@ def load_coco(path) -> Corpus:
         log.info("dropped %d blank or malformed annotations from %s", dropped, path)
     if not records:
         raise EmptyCorpus(f"no usable captions in {path}")
-    return Corpus(records=records, source_path=str(path))
+    return Corpus(records=records)
 
 
 def _records(doc):
@@ -55,7 +54,7 @@ def _records(doc):
 
     dims = {}
     for img in doc.get("images") or []:
-        if isinstance(img, dict) and isinstance(img.get("id"), int):
+        if isinstance(img, dict) and type(img.get("id")) is int:
             dims[img["id"]] = (img.get("width"), img.get("height"))
 
     grouped: dict[int, list[str]] = {}
@@ -66,7 +65,8 @@ def _records(doc):
             continue
         image_id = ann.get("image_id")
         caption = ann.get("caption")
-        if not isinstance(image_id, int) or not isinstance(caption, str):
+        # exactly int: a bool id would reach the output as true/false
+        if type(image_id) is not int or not isinstance(caption, str):
             dropped += 1
             continue
         if not caption.strip():
@@ -81,8 +81,8 @@ def _records(doc):
             CaptionRecord(
                 image_id=image_id,
                 captions=grouped[image_id],
-                width=width if isinstance(width, int) else None,
-                height=height if isinstance(height, int) else None,
+                width=width if type(width) is int else None,
+                height=height if type(height) is int else None,
             )
         )
     return records, dropped

@@ -25,35 +25,11 @@ if TYPE_CHECKING:
 class EmbeddingStore:
     dim: int
     vectors: dict[str, np.ndarray]
-    vocab_order: list[str]
 
-
-def make_store(vectors: dict[str, np.ndarray]) -> EmbeddingStore:
-    import numpy as np
-
-    if not vectors:
-        raise MalformedInput("empty vector table")
-    arrays = {}
-    dim = None
-    order = []
-    for word, vec in vectors.items():
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise MalformedInput(f"vector for {word!r} is not one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise MalformedInput(f"vector for {word!r} holds non-finite values")
-        if dim is None:
-            dim = int(arr.size)
-        elif arr.size != dim:
-            raise MalformedInput(
-                f"vector for {word!r} has {arr.size} dims, expected {dim}"
-            )
-        key = word.lower()
-        if key in arrays:
-            continue
-        arrays[key] = arr
-        order.append(key)
-    return EmbeddingStore(dim=dim, vectors=arrays, vocab_order=order)
+    @property
+    def vocab_order(self) -> list[str]:
+        """The words in the order they were loaded."""
+        return list(self.vectors)
 
 
 def load_vectors(path) -> EmbeddingStore:
@@ -80,7 +56,7 @@ def load_vectors(path) -> EmbeddingStore:
         vectors.setdefault(word, arr)
     if not vectors:
         raise MalformedInput(f"no vectors in {path}")
-    return EmbeddingStore(dim=int(dim), vectors=vectors, vocab_order=list(vectors))
+    return EmbeddingStore(dim=int(dim), vectors=vectors)
 
 
 def _vector(word: str, store: EmbeddingStore) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""How input files are opened, decoded and parsed, and how a bad one is reported.
+"""How files are opened: inputs decoded, parsed and reported when bad, and
+outputs written.
 
 Every loader reads through one of three readers: a whole JSON document, the
 non-blank lines of a text file, or the records of a JSON-lines file. Each
@@ -6,6 +7,9 @@ reader hands what it read to a parse callback. A file that cannot be opened,
 is not UTF-8 or not JSON, or that the callback rejects with KeyError,
 TypeError, ValueError or MalformedInput, ends in one MalformedInput naming
 `PATH`, or `PATH:LINE` for the line formats.
+
+Every output is written through `write_lines`, one line at a time, so a
+writer streams whatever iterable it is given.
 """
 
 from __future__ import annotations
@@ -55,3 +59,14 @@ def read_lines(path, parse):
 def read_json_lines(path, parse):
     """Yield `parse` of each record of the JSON-lines file at `path`."""
     return read_lines(path, lambda line: parse(json.loads(line)))
+
+
+def write_lines(path, lines) -> int:
+    """Write each of `lines` and a newline to the UTF-8 text file at `path`;
+    return how many were written."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for count, line in enumerate(lines, start=1):
+            fh.write(line)
+            fh.write("\n")
+    return count

@@ -104,15 +104,19 @@ def _merged_lexicons(data) -> Lexicons:
     for key, kind, name in (("colors", list, "a list"), ("locations", list, "a list"),
                             ("antonyms", dict, "an object"),
                             ("number_words", dict, "an object")):
-        if not isinstance(data.get(key, kind()), kind):
+        value = data.get(key, kind())
+        if not isinstance(value, kind):
             raise MalformedInput(f"lexicon {key!r} must be {name}")
+        entries = [*value, *value.values()] if kind is dict else value
+        if not all(isinstance(w, str) for w in entries):
+            raise MalformedInput(f"lexicon {key!r} must hold only strings")
     base = Lexicons.default()
-    colors = base.colors | {str(w).lower() for w in data.get("colors", [])}
-    locations = base.locations | {str(w).lower() for w in data.get("locations", [])}
+    colors = base.colors | {w.lower() for w in data.get("colors", [])}
+    locations = base.locations | {w.lower() for w in data.get("locations", [])}
     antonyms = dict(base.antonyms)
-    antonyms.update({str(k).lower(): str(v).lower() for k, v in data.get("antonyms", {}).items()})
+    antonyms.update({k.lower(): v.lower() for k, v in data.get("antonyms", {}).items()})
     number_words = dict(base.number_words)
-    number_words.update({str(k).lower(): str(v) for k, v in data.get("number_words", {}).items()})
+    number_words.update({k.lower(): v for k, v in data.get("number_words", {}).items()})
     return replace(
         base,
         colors=colors,

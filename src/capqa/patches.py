@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import files
 from .errors import BadDims, BadLevels
 
 
@@ -82,23 +83,10 @@ def pyramid(image_id: int, width: int, height: int, levels) -> PatchSpec:
 
 def write_manifest(specs: Iterable[PatchSpec], path) -> int:
     """One JSON line per patch; returns the line count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for spec in specs:
-            for p in spec.patches:
-                fh.write(
-                    json.dumps(
-                        {
-                            "image_id": spec.image_id,
-                            "level": p.level,
-                            "row": p.row,
-                            "col": p.col,
-                            "rect": list(p.rect),
-                            "pos_enc": list(p.pos_enc),
-                        },
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
-                count += 1
-    return count
+    return files.write_lines(path, (
+        json.dumps({"image_id": spec.image_id, "level": p.level, "row": p.row,
+                    "col": p.col, "rect": p.rect, "pos_enc": p.pos_enc},
+                   ensure_ascii=False)
+        for spec in specs
+        for p in spec.patches
+    ))

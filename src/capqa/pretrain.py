@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import files
 from .errors import MalformedInput
 from .qa import QAPair
 from .rng import stream
@@ -126,8 +127,8 @@ def sample_json_dict(sample: PretrainSample) -> dict:
     d = {
         "task": sample.task,
         "image_id": sample.image_id,
-        "text": list(sample.text),
-        "targets": {str(pos): tok for pos, tok in sample.targets.items()},
+        "text": sample.text,
+        "targets": sample.targets,  # int positions become string keys in JSON
         "provenance": sample.provenance,
     }
     if sample.label:
@@ -136,9 +137,6 @@ def sample_json_dict(sample: PretrainSample) -> dict:
 
 
 def write_samples(samples, path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample_json_dict(sample), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return files.write_lines(
+        path, (json.dumps(sample_json_dict(s), ensure_ascii=False) for s in samples)
+    )

@@ -62,28 +62,35 @@ def to_json_dict(qa: QAPair) -> dict:
     return d
 
 
-_REQUIRED = ("qa_id", "image_id", "question", "answer", "answer_type", "source", "source_caption")
+# field -> the JSON type it must hold (exactly: a bool is not an int here)
+_FIELDS = {"qa_id": str, "image_id": int, "question": str, "answer": str,
+           "answer_type": str, "source": str, "source_caption": str}
 
 
 def from_json_dict(d: dict) -> QAPair:
     if not isinstance(d, dict):
         raise MalformedInput("qa record is not an object")
-    missing = [k for k in _REQUIRED if k not in d]
+    missing = [k for k in _FIELDS if k not in d]
     if missing:
         raise MalformedInput(f"qa record lacks keys: {', '.join(missing)}")
+    wrong = [k for k, kind in _FIELDS.items() if type(d[k]) is not kind]
+    parent_id = d.get("parent_id")
+    if parent_id is not None and type(parent_id) is not str:
+        wrong.append("parent_id")
     raw = d.get("weights")
-    weights = [(e["phrase"], float(e["weight"])) for e in raw] if raw else None
-    return QAPair(
-        qa_id=str(d["qa_id"]),
-        image_id=int(d["image_id"]),
-        question=str(d["question"]),
-        answer=str(d["answer"]),
-        answer_type=str(d["answer_type"]),
-        source=str(d["source"]),
-        source_caption=str(d["source_caption"]),
-        weights=weights,
-        parent_id=str(d["parent_id"]) if d.get("parent_id") is not None else None,
-    )
+    if raw is not None and type(raw) is not list:
+        wrong.append("weights")
+    if wrong:
+        raise MalformedInput(f"qa record has fields of the wrong type: {', '.join(wrong)}")
+    weights = [_weight(e) for e in raw] if raw else None
+    return QAPair(**{k: d[k] for k in _FIELDS}, weights=weights, parent_id=parent_id)
+
+
+def _weight(entry) -> tuple:
+    phrase, weight = entry["phrase"], entry["weight"]
+    if type(phrase) is not str or type(weight) not in (int, float):
+        raise MalformedInput(f"weight needs a string phrase and a number: {entry!r}")
+    return phrase, float(weight)
 
 
 def qa_json_line(qa: QAPair) -> str:
@@ -91,13 +98,7 @@ def qa_json_line(qa: QAPair) -> str:
 
 
 def write_jsonl(pairs: Iterable[QAPair], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for qa in pairs:
-            fh.write(qa_json_line(qa))
-            fh.write("\n")
-            count += 1
-    return count
+    return files.write_lines(path, map(qa_json_line, pairs))
 
 
 def read_jsonl(path) -> Iterator[QAPair]:

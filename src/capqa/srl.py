@@ -74,7 +74,7 @@ def _parse_span(raw) -> tuple:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) != 2
-        or not all(isinstance(v, int) for v in raw)
+        or not all(type(v) is int for v in raw)  # nor bool
         or raw[0] < 0
         or raw[0] > raw[1]
     ):
@@ -86,23 +86,24 @@ def _parse_frame(d, by_id):
     """One frame line as an SrlFrame, or None when it points at no known caption."""
     if not isinstance(d, dict):
         raise MalformedInput("frame is not an object")
-    image_id = int(d["image_id"])
-    caption_index = int(d["caption_index"])
+    image_id, caption_index = d["image_id"], d["caption_index"]
+    if type(image_id) is not int or type(caption_index) is not int:  # nor bool
+        raise MalformedInput("frame image_id and caption_index must be integers")
     pred_raw = d["predicate"]
-    lemma = str(pred_raw["lemma"])
+    lemma = pred_raw["lemma"]
     pred_span = _parse_span(pred_raw["span"])
     args_raw = d["args"]
-    if not lemma:
-        raise MalformedInput("empty predicate lemma")
+    if not isinstance(lemma, str) or not lemma:
+        raise MalformedInput("predicate lemma must be a non-empty string")
 
     args = []
     seen_core = set()
     for a in args_raw:
         role = _normalize_role(a["role"])
-        text = str(a["text"])
+        text = a["text"]
         arg_span = _parse_span(a["span"])
-        if not text:
-            raise MalformedInput("empty argument text")
+        if not isinstance(text, str) or not text:
+            raise MalformedInput("argument text must be a non-empty string")
         if role in ("AGENT", "PATIENT"):
             if role in seen_core:
                 raise MalformedInput(f"duplicate {role} argument")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from . import files
 from .embed import EmbeddingStore, mean_pool
 from .errors import EmptyStream
 from .lingo import lower_squeeze
@@ -42,16 +43,7 @@ class DatasetReport:
     answer_normalization: str = _ANSWER_NORMALIZATION
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "by_source": {k: dict(v) for k, v in sorted(self.by_source.items())},
-            "unique_answers": self.unique_answers,
-            "mean_question_tokens": self.mean_question_tokens,
-            "mean_answer_tokens": self.mean_answer_tokens,
-            "answer_type_fractions": dict(sorted(self.answer_type_fractions.items())),
-            "yes_balance": self.yes_balance,
-            "answer_normalization": self.answer_normalization,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -125,11 +117,7 @@ def export_embeddings(pairs, store: EmbeddingStore, path) -> int:
     Output is plain space-separated text for external projection tools;
     re-exporting the same pairs reproduces the file byte for byte.
     """
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            vec = mean_pool(pair.question, store)
-            fields = " ".join(f"{v:.8g}" for v in vec)
-            fh.write(f"{pair.qa_id} {fields}\n")
-            count += 1
-    return count
+    return files.write_lines(path, (
+        f"{pair.qa_id} " + " ".join(f"{v:.8g}" for v in mean_pool(pair.question, store))
+        for pair in pairs
+    ))

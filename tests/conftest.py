@@ -3,8 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from capqa.embed import EmbeddingStore
 from capqa.lingo import pluralize
 
 # Pairwise-disjoint noun families: captions built from one family share no
@@ -70,6 +72,16 @@ def write_coco(path, records) -> str:
         json.dumps({"images": images, "annotations": annotations}), encoding="utf-8"
     )
     return str(path)
+
+
+def make_store(vectors) -> EmbeddingStore:
+    """An in-memory store over {word: vector}: words lowercased, the first of
+    equal words kept, every vector of one length."""
+    arrays = {}
+    for word, vec in vectors.items():
+        arrays.setdefault(word.lower(), np.asarray(vec, dtype=np.float64))
+    (dim,), = {arr.shape for arr in arrays.values()}  # fails unless all are alike and 1-D
+    return EmbeddingStore(dim=dim, vectors=arrays)
 
 
 @pytest.fixture(scope="session")

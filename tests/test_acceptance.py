@@ -15,7 +15,7 @@ from capqa.augment import builtin_rewrite
 from capqa.cli import main
 from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord, load_coco
-from capqa.embed import Candidates, make_store
+from capqa.embed import Candidates
 from capqa.lingo import Lexicons, analyze, object_lemma_index
 from capqa.patches import pyramid
 from capqa.pretrain import itm_pairs, mlm_mask, mqa_mask
@@ -31,6 +31,7 @@ from capqa.qgen import (
 )
 from capqa.srl import SrlArg, SrlFrame, SrlPredicate, render_qa
 from capqa.stats import report
+from conftest import make_store
 
 LEX = Lexicons.default()
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import capqa
+from capqa import files
 from capqa.cli import main
 from capqa.config import PipelineConfig, load_config, require_file, resolve
 from capqa.errors import MalformedInput
@@ -154,11 +155,18 @@ class TestGenerate:
         assert run_generate(demo_coco, out, "--seed", "1") == 0
         before = (out.read_bytes(), manifest.read_bytes())
 
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('{"command": ')
+        real_write_lines = files.write_lines
+
+        def fragment_then_fail():
+            yield '{"command": '
             raise OSError("synthetic failure")
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+        def fail_on_manifest(path, lines):
+            if str(path).endswith(".manifest.json.partial"):
+                lines = fragment_then_fail()
+            return real_write_lines(path, lines)
+
+        monkeypatch.setattr(files, "write_lines", fail_on_manifest)
         assert run_generate(demo_coco, out, "--seed", "8") == 1
         assert "synthetic failure" in capsys.readouterr().err
         assert (out.read_bytes(), manifest.read_bytes()) == before
@@ -646,6 +654,17 @@ class TestStatsCommand:
         assert rc == 0
         assert len(emb.read_text().splitlines()) == len(pairs)
 
+    def test_embeddings_export_manifest(self, tmp_path, vectors_path):
+        src, pairs = craft_pairs(tmp_path)
+        emb = tmp_path / "emb.txt"
+        assert main(["stats", "--in", str(src), "--embeddings-out", str(emb),
+                     "--vectors", vectors_path]) == 0
+        manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+        assert manifest["command"] == "stats"
+        assert manifest["outputs"] == [str(emb)]
+        assert manifest["counts"] == {"pairs": len(pairs)}
+        assert manifest["config"]["vectors"] == vectors_path
+
     def test_empty_input_exit_1(self, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"
         src.write_text("")
@@ -685,6 +704,14 @@ class TestUsageErrors:
         'negative_mode="bogus"',
         "vocab_limit=0",
         "vocab_limit=-5",
+        "workers=2.5",
+        "max_questions_per_caption=2.5",
+        "batch_size=1.5",
+        'fallback="no"',
+        "vocab_limit=true",
+        'seed="abc"',
+        "seed=null",
+        "levels=[1,true]",
     ])
     def test_invalid_config_value_exit_1(self, demo_coco, tmp_path, capsys, setting):
         out = tmp_path / "x.jsonl"
@@ -745,15 +772,36 @@ BAD_INPUTS = {
     "captions-not-utf8": ("--captions",
                           b'{"annotations": [{"image_id": 1, "caption": "a \xff dog"}]}', None),
     "config-not-utf8": ("--config", b'{"seed": 1, "captions": "\xff"}', None),
+    "config-workers-float": ("--config", b'{"workers": 2.5}', None),
     "lexicons-not-utf8": ("--lexicons", b'{"colors": ["\xff"]}', None),
     "lexicons-colors-number": ("--lexicons", b'{"colors": 5}', None),
     "lexicons-colors-string": ("--lexicons", b'{"colors": "red"}', None),
+    "lexicons-colors-null-and-number": ("--lexicons", b'{"colors": [null, 5]}', None),
+    "lexicons-number-word-int": ("--lexicons", b'{"number_words": {"dozen": 12}}', None),
     "vectors-not-utf8": ("--vectors", b"dog 1 0\ncat\xff 0 1\n", 2),
     "frames-not-utf8": ("--srl-frames", jsonl(GOOD_FRAME, b"\n", b'{"\xff": 1}\n'), 3),
     "frames-args-number": ("--srl-frames", jsonl(GOOD_FRAME, dict(GOOD_FRAME, args=5)), 2),
+    "frames-image-id-float": ("--srl-frames", jsonl(GOOD_FRAME, dict(GOOD_FRAME, image_id=3.5)),
+                              2),
+    "frames-caption-index-bool": ("--srl-frames",
+                                  jsonl(GOOD_FRAME, dict(GOOD_FRAME, caption_index=False)), 2),
+    "frames-span-bool": ("--srl-frames", jsonl(GOOD_FRAME, dict(
+        GOOD_FRAME, predicate=dict(GOOD_FRAME["predicate"], span=[True, 15]))), 2),
+    "frames-lemma-number": ("--srl-frames", jsonl(GOOD_FRAME, dict(
+        GOOD_FRAME, predicate=dict(GOOD_FRAME["predicate"], lemma=5))), 2),
+    "frames-arg-text-number": ("--srl-frames", jsonl(GOOD_FRAME, dict(
+        GOOD_FRAME, args=[dict(GOOD_FRAME["args"][0], text=7)])), 2),
     "qa-not-utf8": ("--in", jsonl(GOOD_ROW, b'{"qa_id": "\xff"}\n'), 2),
     "qa-image-id-string": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, image_id="abc")), 2),
     "qa-image-id-null": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, image_id=None)), 2),
+    "qa-image-id-float": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, image_id=1.7)), 2),
+    "qa-image-id-bool": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, image_id=True)), 2),
+    "qa-question-null": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, question=None)), 2),
+    "qa-parent-id-number": ("--in", jsonl(GOOD_ROW, dict(GOOD_ROW, parent_id=5)), 2),
+    "qa-weight-phrase-number": ("--in", jsonl(GOOD_ROW, dict(
+        GOOD_ROW, weights=[{"phrase": 5, "weight": 0.5}])), 2),
+    "qa-weight-string": ("--in", jsonl(GOOD_ROW, dict(
+        GOOD_ROW, weights=[{"phrase": "yes", "weight": "0.5"}])), 2),
 }
 
 

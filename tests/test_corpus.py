@@ -89,6 +89,19 @@ def test_dimensions_attached_from_images_array(tmp_path):
     assert (rec.width, rec.height) == (640, 480)
 
 
+def test_boolean_ids_and_dimensions_are_not_integers(tmp_path):
+    p = write_coco(
+        tmp_path,
+        [{"image_id": True, "caption": "a dog"}, {"image_id": 1, "caption": "a cat"},
+         {"image_id": 2, "caption": "a cow"}],
+        images=[{"id": True, "width": 640, "height": 480},
+                {"id": 2, "width": True, "height": 480}],
+    )
+    records = load_coco(p).records
+    assert [(type(r.image_id), r.image_id, r.captions, r.width, r.height) for r in records] == [
+        (int, 1, ["a cat"], None, None), (int, 2, ["a cow"], None, 480)]
+
+
 def test_dimensions_optional(tmp_path):
     p = write_coco(tmp_path, [{"image_id": 5, "caption": "a cat"}])
     rec = load_coco(p).records[0]
@@ -103,7 +116,7 @@ def test_iterate_ascending_image_id(tmp_path):
 
 
 def test_iterate_empty():
-    corpus = Corpus(records=[], source_path="none")
+    corpus = Corpus(records=[])
     assert list(corpus) == []
 
 

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord
-from capqa.embed import Candidates, load_vectors, make_store, mean_pool, nearest
+from capqa.embed import Candidates, load_vectors, mean_pool, nearest
 from capqa.errors import MalformedInput, UnknownWord, ZeroVector
 from capqa.lingo import Lexicons, analyze, object_lemma_index, singularize
 from capqa.qa import QAPair
 from capqa.qgen import adversarial_qa
+from conftest import make_store
 
 
 def store_from(mapping):

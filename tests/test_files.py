@@ -1,4 +1,5 @@
-"""The input-file boundary: the shared readers, and that no other module reads files."""
+"""The file boundary: the shared readers and writer, and that no other module
+opens a file."""
 
 import ast
 import json
@@ -8,35 +9,34 @@ import pytest
 
 import capqa
 from capqa.errors import MalformedInput
-from capqa.files import read_json, read_json_lines, read_lines
+from capqa.files import read_json, read_json_lines, read_lines, write_lines
 
 SRC = Path(capqa.__file__).parent
 
+# calls that open a file, to read or to write: open(), os.open(), Path.open()
+# and the Path shortcuts
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 
-def read_opens(path):
-    """Line numbers of the calls in `path` that open a file for reading."""
+
+def file_opens(path):
+    """Line numbers of the calls in `path` that open a file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
-            yield node.lineno
-        if not (isinstance(func, ast.Name) and func.id == "open"):
-            continue
-        mode = node.args[1] if len(node.args) > 1 else next(
-            (k.value for k in node.keywords if k.arg == "mode"), None)
-        writes = isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax")
-        if not writes:
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in FILE_CALLS:
             yield node.lineno
 
 
-def test_only_the_files_module_opens_inputs():
-    assert list(read_opens(SRC / "files.py"))  # the check sees a read when there is one
+def test_only_the_files_module_opens_files():
+    # the check sees files.py's two readers and its writer
+    assert len(list(file_opens(SRC / "files.py"))) == 3
     offenders = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "files.py"
-        for line in read_opens(path)
+        for line in file_opens(path)
     ]
     assert offenders == []
 
@@ -59,6 +59,14 @@ def test_missing_file_names_the_path(tmp_path):
     path = tmp_path / "absent.txt"
     with pytest.raises(MalformedInput, match=rf"^{path}: No such file"):
         list(read_lines(path, str.split))
+
+
+def test_write_lines_streams_and_counts(tmp_path):
+    path = tmp_path / "out.txt"
+    assert write_lines(path, (w for w in ["a b", "", "ü"])) == 3
+    assert path.read_bytes() == "a b\n\nü\n".encode("utf-8")
+    assert write_lines(path, iter(())) == 0
+    assert path.read_bytes() == b""
 
 
 def test_lines_are_parsed_in_order_without_blanks(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from capqa.config import PipelineConfig
 from capqa.corpus import CaptionRecord
-from capqa.embed import Candidates, make_store
+from capqa.embed import Candidates
 from capqa.errors import MalformedInput, Unsupported
 from capqa.lingo import Lexicons, analyze, object_lemma_index
 from capqa.qa import QAPair
@@ -21,6 +21,7 @@ from capqa.qgen import (
     gen_yesno,
     negate_qa,
 )
+from conftest import make_store
 
 LEX = Lexicons.default()
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from capqa.embed import make_store
 from capqa.errors import EmptyStream
 from capqa.qa import QAPair
 from capqa.stats import StatsAccumulator, export_embeddings, report
+from conftest import make_store
 
 
 def pair(i, question, answer, answer_type, source):
