@@ -1,7 +1,7 @@
 """Question rewriting for linguistic variety.
 
 Rewrites come from a pluggable rewriter: an HTTP endpoint (POST /rewrite),
-a spawned subprocess speaking line-delimited JSON over stdin/stdout, an
+one subprocess per run speaking line-delimited JSON over stdin/stdout, an
 in-process callable, or the built-in rule table. Whatever the backend, every
 accepted rewrite must leave the answer's presence in the question unchanged,
 so augmentation can never silently detach a question from its answer.
@@ -112,6 +112,10 @@ def builtin_rewrite(question: str, cfg: PipelineConfig) -> list:
     return unique
 
 
+def _builtin_responses(batch, cfg: PipelineConfig) -> list:
+    return [RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch]
+
+
 # --- rewriter backends ------------------------------------------------------------
 
 
@@ -132,28 +136,75 @@ def _parse_response(d) -> RewriteResponse:
         raise RewriterUnavailable(f"malformed rewriter response: {exc}") from exc
 
 
-def _subprocess_backend(argv, batch, cfg):
-    payload = "".join(json.dumps(_payload(r)) + "\n" for r in batch)
+def _subprocess_backend(argv, batches, cfg) -> list:
+    """Answer every batch of the run from one child process running `argv`.
+
+    The child gets every request of the run, then EOF on stdin, and may answer
+    in any order; `communicate` reads while it writes, so a child that does not
+    flush per line cannot deadlock. It has `timeout_s` per batch, summed over
+    the run. Returns, per batch, its responses or the RewriterUnavailable that
+    fails it. A child that exits non-zero or times out fails the batches it
+    had not answered in full, and a line it did not finish counts as no
+    response.
+    """
+    payload = "".join(json.dumps(_payload(r)) + "\n" for batch in batches for r in batch)
+    failure = None
     try:
-        proc = subprocess.run(
-            argv, input=payload, capture_output=True, text=True, timeout=cfg.timeout_s
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        raise RewriterUnavailable(f"rewriter subprocess failed: {exc}") from exc
-    if proc.returncode != 0:
-        raise RewriterUnavailable(
-            f"rewriter exited with status {proc.returncode}: {proc.stderr.strip()[:200]}"
-        )
-    responses = []
-    for line in proc.stdout.splitlines():
+        proc = subprocess.run(argv, input=payload.encode("utf-8"), capture_output=True,
+                              timeout=cfg.timeout_s * len(batches))
+        stdout = proc.stdout
+        if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            failure = RewriterUnavailable(
+                f"rewriter exited with status {proc.returncode}: {stderr[:200]}"
+            )
+    except subprocess.TimeoutExpired as exc:
+        # run() has killed and reaped the child; exc.stdout is what it wrote
+        stdout = exc.stdout or b""
+        failure = RewriterUnavailable(f"rewriter subprocess failed: {exc}")
+    except OSError as exc:
+        return [RewriterUnavailable(f"rewriter subprocess failed: {exc}")] * len(batches)
+    lines = stdout.splitlines()
+    if failure is not None and not stdout.endswith((b"\n", b"\r")):
+        lines = lines[:-1]  # a line the child did not finish
+    try:
+        got = _assign(lines, batches)
+    except RewriterUnavailable as exc:
+        return [exc] * len(batches)
+    if failure is None:
+        return got
+    return [
+        answers if {r.request_id for r in batch} <= {a.request_id for a in answers}
+        else failure
+        for batch, answers in zip(batches, got)
+    ]
+
+
+def _assign(lines, batches) -> list:
+    """Each batch's responses among the JSON `lines`, matched by request_id.
+
+    A line that is not a response, or an id that no request of the run
+    carries, cannot be put in a batch, so it raises RewriterUnavailable.
+    """
+    owner = {r.request_id: i for i, batch in enumerate(batches) for r in batch}
+    got = [[] for _ in batches]
+    stray = set()
+    for line in lines:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
+            resp = _parse_response(json.loads(line))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise RewriterUnavailable(f"rewriter wrote invalid JSON: {exc}") from exc
-        responses.append(_parse_response(d))
-    return responses
+        if resp.request_id in owner:
+            got[owner[resp.request_id]].append(resp)
+        else:
+            stray.add(resp.request_id)
+    if stray:
+        raise RewriterUnavailable(
+            f"rewriter answered ids no request of the run carries: {sorted(stray)[:5]}"
+        )
+    return got
 
 
 def _http_backend(url, cfg, stack: ExitStack):
@@ -177,19 +228,31 @@ def _http_backend(url, cfg, stack: ExitStack):
     return backend
 
 
+def _each_batch(backend):
+    """Run `backend` on each batch in turn, only once the caller asks for it,
+    yielding its responses or the RewriterUnavailable it raised."""
+    def run(batches):
+        for batch in batches:
+            try:
+                yield backend(batch)
+            except RewriterUnavailable as exc:
+                yield exc
+    return run
+
+
 def _resolve_backend(rewriter, cfg, stack: ExitStack):
+    """A function from the run's batches to an iterable of per-batch results:
+    a batch's responses, or the RewriterUnavailable that fails it."""
     if rewriter is None or rewriter == "builtin":
-        return lambda batch: [
-            RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch
-        ]
+        return _each_batch(lambda batch: _builtin_responses(batch, cfg))
     if callable(rewriter):
-        return rewriter
+        return _each_batch(rewriter)
     if isinstance(rewriter, str) and rewriter.startswith(("http://", "https://")):
-        return _http_backend(rewriter, cfg, stack)
+        return _each_batch(_http_backend(rewriter, cfg, stack))
     if isinstance(rewriter, str):
-        return lambda batch: _subprocess_backend(shlex.split(rewriter), batch, cfg)
+        return lambda batches: _subprocess_backend(shlex.split(rewriter), batches, cfg)
     if isinstance(rewriter, (list, tuple)):
-        return lambda batch: _subprocess_backend(list(rewriter), batch, cfg)
+        return lambda batches: _subprocess_backend(list(rewriter), batches, cfg)
     raise MalformedInput(f"unusable rewriter specification: {rewriter!r}")
 
 
@@ -249,17 +312,17 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
                            pivot_language=pivot)
             for p in pairs
         ]
-        for start in range(0, len(reqs), cfg.batch_size):
-            batch = reqs[start:start + cfg.batch_size]
+        batches = [reqs[start:start + cfg.batch_size]
+                   for start in range(0, len(reqs), cfg.batch_size)]
+        for batch, got in zip(batches, backend(batches)):
             try:
-                got = backend(batch)
+                if isinstance(got, RewriterUnavailable):
+                    raise got
                 _check_ids(batch, got)
             except RewriterUnavailable:
                 if not cfg.fallback:
                     raise
-                got = [
-                    RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch
-                ]
+                got = _builtin_responses(batch, cfg)
             for resp in got:
                 responses[resp.request_id] = resp
 

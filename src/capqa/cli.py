@@ -256,15 +256,20 @@ def _cmd_augment(args) -> int:
 def _cmd_weigh(args) -> int:
     cfg = _effective_config(args)
     lex = _lexicons(cfg)
-    pairs = list(read_jsonl(require_file(args.input, "--in")))
+    pairs = read_jsonl(require_file(args.input, "--in"))
     filled = 0
-    for qa in pairs:
-        if args.force:
-            qa.weights = None
-        if not qa.weights:
-            _ensure_weights(qa, lex)
-            filled += 1
-    count = _publish(args.out, lambda p: write_jsonl(pairs, p),
+
+    def rows():
+        nonlocal filled
+        for qa in pairs:
+            if args.force:
+                qa.weights = None
+            if not qa.weights:
+                _ensure_weights(qa, lex)
+                filled += 1
+            yield qa
+
+    count = _publish(args.out, lambda p: write_jsonl(rows(), p),
                      "weigh", cfg, lambda n: {"pairs": n, "weighed": filled})
     _emit({"pairs": count, "weighed": filled})
     return 0
@@ -374,17 +379,33 @@ def _cmd_sample_epoch(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _effective_config(args)
-    rep = report(read_jsonl(require_file(args.input, "--in")))
+    pairs = read_jsonl(require_file(args.input, "--in"))
+    exported = None
+    if args.embeddings_out:
+        # one pass over --in feeds both the export and the report
+        store = load_vectors(require_file(cfg.vectors, "--vectors"))
+        acc = StatsAccumulator()
+
+        def rows():
+            for qa in pairs:
+                acc.add(qa)
+                yield qa
+
+        def export(path):
+            nonlocal rep
+            count = export_embeddings(rows(), store, path)
+            rep = acc.report()  # an empty input raises here, before anything is published
+            return count
+
+        exported = _publish(args.embeddings_out, export, "stats", cfg, lambda n: {"pairs": n})
+    else:
+        rep = report(pairs)
     doc = rep.to_json_dict()
     if args.out:
         _publish(args.out, lambda p: _write_json(doc, p),
                  "stats", cfg, lambda _: {"pairs": rep.total})
-    if args.embeddings_out:
-        store = load_vectors(require_file(cfg.vectors, "--vectors"))
-        pairs = read_jsonl(args.input)
-        doc["embeddings_exported"] = _publish(
-            args.embeddings_out, lambda p: export_embeddings(pairs, store, p),
-            "stats", cfg, lambda n: {"pairs": n})
+    if exported is not None:
+        doc["embeddings_exported"] = exported
     _emit(doc)
     return 0
 
@@ -471,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-variants", dest="max_variants", type=int)
     p.add_argument("--keep-probability", dest="keep_probability", type=float)
     p.add_argument("--fallback", action=argparse.BooleanOptionalAction)
-    p.add_argument("--timeout-s", dest="timeout_s", type=float)
+    p.add_argument("--timeout-s", dest="timeout_s", type=float,
+                   help="rewriter time budget in seconds per batch")
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lexicons")
     _add_common(p)

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import os
 import sys
 import threading
 
@@ -269,6 +270,14 @@ def test_subprocess_garbage_output_is_unavailable(tmp_path):
         augment_batch([pair], [sys.executable, str(script)], PARA)
 
 
+def test_subprocess_undecodable_output_is_unavailable(tmp_path):
+    script = tmp_path / "binary.py"
+    script.write_text("import sys\nsys.stdout.buffer.write(b'\\xff\\n')\n", encoding="utf-8")
+    pair = make_pair("Is there a dog?", "yes")
+    with pytest.raises(RewriterUnavailable, match="invalid JSON"):
+        augment_batch([pair], [sys.executable, str(script)], PARA)
+
+
 # --- HTTP rewriter ------------------------------------------------------------------
 
 
@@ -402,3 +411,157 @@ def test_matching_response_ids_in_any_order_accepted(id_rewriter):
     out = augment_batch(two_pairs(), id_rewriter(("b", "a")), PARA)
     assert [(p.parent_id, p.question) for p in out[1::2]] == [("a", ID_REWRITE),
                                                               ("b", ID_REWRITE)]
+
+
+# --- one rewriter child per run ------------------------------------------------------
+
+
+def numbered_pairs(n=3):
+    return [make_pair(f"Is there a dog {i}?", "yes", qa_id=f"q{i}") for i in range(n)]
+
+
+def run_script(tmp_path, source, **fields):
+    """[python, script] for a fake rewriter; `fields` are substituted into `source`."""
+    script = tmp_path / "fake_rewriter.py"
+    script.write_text(source.format(**{k: repr(v) for k, v in fields.items()}),
+                      encoding="utf-8")
+    return [sys.executable, str(script)]
+
+
+# writes its pid, answers every request in reverse order with no flush per
+# line, so responses reach the parent only at exit and out of order
+SPAWN_ONCE = """\
+import json, os, sys
+with open({pid_file}, "a") as fh:
+    fh.write(f"{{os.getpid()}}\\n")
+reqs = [json.loads(line) for line in sys.stdin if line.strip()]
+for req in reversed(reqs):
+    print(json.dumps({{"request_id": req["request_id"], "rewrites": ["Now, " + req["text"]]}}))
+"""
+
+
+def test_subprocess_rewriter_spawned_once_per_run(tmp_path):
+    pid_file = tmp_path / "pids"
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, batch_size=1)
+    pairs = numbered_pairs(5)
+    argv = run_script(tmp_path, SPAWN_ONCE, pid_file=str(pid_file))
+    out = augment_batch(pairs, argv, cfg)
+    assert len(pid_file.read_text().splitlines()) == 1
+    calls = []
+
+    def in_process(batch):
+        calls.append(batch)
+        return [RewriteResponse(r.request_id, ["Now, " + r.text]) for r in batch]
+
+    assert out == augment_batch(pairs, in_process, cfg)
+    assert len(calls) == 5
+    assert [p.question for p in out[1::2]] == ["Now, " + p.question for p in pairs]
+
+
+# answers the first request, then exits 1 without reading the rest
+CRASH_AFTER_FIRST = """\
+import json, sys
+req = json.loads(sys.stdin.readline())
+print(json.dumps({{"request_id": req["request_id"], "rewrites": [{rewrite}]}}))
+sys.exit(1)
+"""
+
+# the same, then starts a second answer that it never finishes
+CRASH_MID_LINE = CRASH_AFTER_FIRST.replace(
+    "sys.exit(1)", 'sys.stdout.write(\'{{"request_id": "q1", "rewr\')\nsys.exit(1)')
+
+CRASHES = {"after_first": CRASH_AFTER_FIRST, "mid_line": CRASH_MID_LINE}
+
+# answers every request, plus one id that no request carries
+STRAY_ID = """\
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    print(json.dumps({{"request_id": req["request_id"], "rewrites": [{rewrite}]}}))
+print(json.dumps({{"request_id": "zz", "rewrites": [{rewrite}]}}))
+"""
+
+# writes its pid, answers the first request, then hangs
+HANG_AFTER_FIRST = """\
+import json, os, sys, time
+with open({pid_file}, "w") as fh:
+    fh.write(str(os.getpid()))
+req = json.loads(sys.stdin.readline())
+print(json.dumps({{"request_id": req["request_id"], "rewrites": [{rewrite}]}}), flush=True)
+time.sleep(600)
+"""
+
+FAULT_CFG = dict(augment_mode="paraphrase", max_variants=4, batch_size=1)
+
+
+@pytest.mark.parametrize("crash", sorted(CRASHES))
+def test_child_crash_after_first_answer_is_unavailable(tmp_path, crash):
+    argv = run_script(tmp_path, CRASHES[crash], rewrite=ID_REWRITE)
+    with pytest.raises(RewriterUnavailable, match="status 1"):
+        augment_batch(numbered_pairs(), argv, PipelineConfig(**FAULT_CFG))
+
+
+@pytest.mark.parametrize("crash", sorted(CRASHES))
+def test_child_crash_fails_only_the_batches_it_left_open(tmp_path, crash):
+    cfg = PipelineConfig(**FAULT_CFG, fallback=True)
+    pairs = numbered_pairs()
+    argv = run_script(tmp_path, CRASHES[crash], rewrite=ID_REWRITE)
+    out = augment_batch(pairs, argv, cfg)
+    assert [(p.parent_id, p.question) for p in out[1:2]] == [("q0", ID_REWRITE)]
+    assert out[2:] == augment_batch(pairs[1:], "builtin", cfg)
+
+
+def test_stray_id_fails_every_batch(tmp_path):
+    argv = run_script(tmp_path, STRAY_ID, rewrite=ID_REWRITE)
+    with pytest.raises(RewriterUnavailable, match="'zz'"):
+        augment_batch(numbered_pairs(), argv, PipelineConfig(**FAULT_CFG))
+
+
+def test_stray_id_falls_back_in_every_batch(tmp_path):
+    cfg = PipelineConfig(**FAULT_CFG, fallback=True)
+    pairs = numbered_pairs()
+    out = augment_batch(pairs, run_script(tmp_path, STRAY_ID, rewrite=ID_REWRITE), cfg)
+    assert out == augment_batch(pairs, "builtin", cfg)
+    assert ID_REWRITE not in {p.question for p in out}
+
+
+def assert_reaped(pid_file):
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_hung_child_times_out_and_is_reaped(tmp_path):
+    pid_file = tmp_path / "pid"
+    argv = run_script(tmp_path, HANG_AFTER_FIRST, pid_file=str(pid_file), rewrite=ID_REWRITE)
+    cfg = PipelineConfig(**FAULT_CFG, timeout_s=0.5)
+    with pytest.raises(RewriterUnavailable, match="timed out"):
+        augment_batch(numbered_pairs(), argv, cfg)
+    assert_reaped(pid_file)
+
+
+def test_hung_child_falls_back_for_unanswered_batches(tmp_path):
+    pid_file = tmp_path / "pid"
+    argv = run_script(tmp_path, HANG_AFTER_FIRST, pid_file=str(pid_file), rewrite=ID_REWRITE)
+    cfg = PipelineConfig(**FAULT_CFG, timeout_s=0.5, fallback=True)
+    pairs = numbered_pairs()
+    out = augment_batch(pairs, argv, cfg)
+    assert_reaped(pid_file)
+    assert [(p.parent_id, p.question) for p in out[1:2]] == [("q0", ID_REWRITE)]
+    assert out[2:] == augment_batch(pairs[1:], "builtin", cfg)
+
+
+# takes about half a second per request
+SLOW = """\
+import json, sys, time
+for line in sys.stdin:
+    req = json.loads(line)
+    time.sleep(0.5)
+    print(json.dumps({{"request_id": req["request_id"], "rewrites": [{rewrite}]}}))
+"""
+
+
+def test_timeout_is_per_batch_summed_over_the_run(tmp_path):
+    # 3 batches at 1 s each: the child's 1.5 s fits the run's 3 s budget
+    cfg = PipelineConfig(**FAULT_CFG, timeout_s=1.0)
+    out = augment_batch(numbered_pairs(), run_script(tmp_path, SLOW, rewrite=ID_REWRITE), cfg)
+    assert [p.question for p in out[1::2]] == [ID_REWRITE] * 3

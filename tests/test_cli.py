@@ -435,6 +435,39 @@ class TestWeighCommand:
         main(["weigh", "--in", str(src), "--out", str(forced), "--force"])
         assert len(next(read_jsonl(forced)).weights) == 9
 
+    def test_streams_rows_and_counts_the_filled(self, tmp_path, monkeypatch, capsys):
+        pairs = [
+            QAPair("w1", 1, "What is parked?", "two black cars", "phrase", "srl", "c",
+                   weights=[("sentinel", 0.5)]),
+            QAPair("w2", 1, "Is there a dog?", "yes", "yesno", "template", "c"),
+            QAPair("w3", 1, "What is red?", "a red bus", "phrase", "srl", "c"),
+        ]
+        src = tmp_path / "in.jsonl"
+        write_jsonl(pairs, src)
+        events = []
+
+        def logged_read(path):
+            for qa in read_jsonl(path):
+                events.append(("read", qa.qa_id))
+                yield qa
+
+        def logged_write(rows, path):
+            def logged():
+                for qa in rows:
+                    events.append(("write", qa.qa_id))
+                    yield qa
+            return write_jsonl(logged(), path)
+
+        monkeypatch.setattr(capqa.cli, "read_jsonl", logged_read)
+        monkeypatch.setattr(capqa.cli, "write_jsonl", logged_write)
+        out = tmp_path / "out.jsonl"
+        assert main(["weigh", "--in", str(src), "--out", str(out)]) == 0
+        # each row is written before the next one is read
+        assert events == [(step, qa.qa_id) for qa in pairs for step in ("read", "write")]
+        assert json.loads(capsys.readouterr().out) == {"pairs": 3, "weighed": 2}
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert manifest["counts"] == {"pairs": 3, "weighed": 2}
+
 
 class TestVocabCommand:
     def test_writes_vocab_file(self, tmp_path, capsys):
@@ -669,6 +702,40 @@ class TestStatsCommand:
         src = tmp_path / "empty.jsonl"
         src.write_text("")
         assert main(["stats", "--in", str(src)]) == 1
+
+    def test_report_and_export_read_the_input_once(self, tmp_path, vectors_path,
+                                                   monkeypatch, capsys):
+        src, pairs = craft_pairs(tmp_path)
+        plain = tmp_path / "plain.json"
+        assert main(["stats", "--in", str(src), "--out", str(plain)]) == 0
+        plain_stdout = json.loads(capsys.readouterr().out)
+        reads = []
+
+        def counted_read(path):
+            reads.append(0)
+            for qa in read_jsonl(path):
+                reads[-1] += 1
+                yield qa
+
+        monkeypatch.setattr(capqa.cli, "read_jsonl", counted_read)
+        report, emb = tmp_path / "report.json", tmp_path / "emb.txt"
+        assert main(["stats", "--in", str(src), "--out", str(report),
+                     "--embeddings-out", str(emb), "--vectors", vectors_path]) == 0
+        assert reads == [len(pairs)]
+        assert report.read_bytes() == plain.read_bytes()
+        assert json.loads(capsys.readouterr().out) == dict(plain_stdout,
+                                                           embeddings_exported=len(pairs))
+        assert len(emb.read_text().splitlines()) == len(pairs)
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        assert manifest["counts"] == {"pairs": len(pairs)}
+
+    def test_empty_input_with_export_publishes_nothing(self, tmp_path, vectors_path):
+        src = tmp_path / "empty.jsonl"
+        src.write_text("")
+        report, emb = tmp_path / "report.json", tmp_path / "emb.txt"
+        assert main(["stats", "--in", str(src), "--out", str(report),
+                     "--embeddings-out", str(emb), "--vectors", vectors_path]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
 
 
 class TestUsageErrors:
