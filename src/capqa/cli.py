@@ -245,9 +245,16 @@ def _cmd_augment(args) -> int:
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     lex = _lexicons(cfg)
-    for qa in out_pairs:
-        _ensure_weights(qa, lex)
-    count = _publish(args.out, lambda p: write_jsonl(out_pairs, p),
+
+    def rows():
+        # weighed as written: a written row keeps no weights, which as
+        # Fractions would outweigh the rows themselves
+        for qa in out_pairs:
+            _ensure_weights(qa, lex)
+            yield qa
+            qa.weights = None
+
+    count = _publish(args.out, lambda p: write_jsonl(rows(), p),
                      "augment", cfg, lambda n: {"pairs": n})
     _emit({"pairs": count, "new": count - len(pairs)})
     return 0
@@ -310,48 +317,52 @@ def _cmd_patches(args) -> int:
     if missing and default_dims is None:
         listed = ", ".join(str(i) for i in missing)
         raise BadDims(f"images missing dimensions: {listed}")
-    specs = []
-    for rec in corpus.records:
-        if rec.width is None or rec.height is None:
-            width, height = default_dims
-        else:
-            width, height = rec.width, rec.height
-        specs.append(pyramid(rec.image_id, width, height, cfg.levels))
-    count = _publish(args.out, lambda p: write_manifest(specs, p),
-                     "patches", cfg, lambda n: {"images": len(specs), "entries": n})
-    _emit({"images": len(specs), "entries": count})
+
+    def specs():
+        for rec in corpus.records:
+            if rec.width is None or rec.height is None:
+                width, height = default_dims
+            else:
+                width, height = rec.width, rec.height
+            yield pyramid(rec.image_id, width, height, cfg.levels)
+
+    images = len(corpus.records)
+    count = _publish(args.out, lambda p: write_manifest(specs(), p),
+                     "patches", cfg, lambda n: {"images": images, "entries": n})
+    _emit({"images": images, "entries": count})
     return 0
 
 
 def _cmd_pretrain(args) -> int:
     cfg = _effective_config(args)
     corpus = load_coco(require_file(cfg.captions, "--captions"))
-    samples = []
-    if "mlm" in cfg.tasks:
-        for rec in corpus.records:
-            for idx, caption in enumerate(rec.captions):
-                samples.append(
-                    mlm_mask(caption, cfg.seed, image_id=rec.image_id,
-                             caption_index=idx)
+
+    def samples():
+        # task by task, mlm, mqa, itm, each sample written as it is made
+        if "mlm" in cfg.tasks:
+            for rec in corpus.records:
+                for idx, caption in enumerate(rec.captions):
+                    yield mlm_mask(caption, cfg.seed, image_id=rec.image_id,
+                                   caption_index=idx)
+        if "mqa" in cfg.tasks:
+            qa_path = require_file(args.qa or "", "--qa (needed for the mqa task)")
+            for qa in read_jsonl(qa_path):
+                yield mqa_mask(qa, cfg.seed)
+        if "itm" in cfg.tasks:
+            index, _ = object_lemma_index(corpus.records, _lexicons(cfg))
+            short_images = missing = 0
+            for rec in corpus.records:
+                itm, short = itm_pairs(rec, corpus, index, cfg.neg_ratio, cfg.seed)
+                yield from itm
+                short_images += short > 0
+                missing += short
+            if missing:
+                log.warning(
+                    "itm: %d image(s) had too few disjoint captions; %d negative(s) missing",
+                    short_images, missing,
                 )
-    if "mqa" in cfg.tasks:
-        qa_path = require_file(args.qa or "", "--qa (needed for the mqa task)")
-        for qa in read_jsonl(qa_path):
-            samples.append(mqa_mask(qa, cfg.seed))
-    if "itm" in cfg.tasks:
-        index, _ = object_lemma_index(corpus.records, _lexicons(cfg))
-        short_images = missing = 0
-        for rec in corpus.records:
-            itm, short = itm_pairs(rec, corpus, index, cfg.neg_ratio, cfg.seed)
-            samples.extend(itm)
-            short_images += short > 0
-            missing += short
-        if missing:
-            log.warning(
-                "itm: %d image(s) had too few disjoint captions; %d negative(s) missing",
-                short_images, missing,
-            )
-    count = _publish(args.out, lambda p: write_samples(samples, p),
+
+    count = _publish(args.out, lambda p: write_samples(samples(), p),
                      "pretrain", cfg, lambda n: {"samples": n})
     _emit({"samples": count})
     return 0
@@ -359,18 +370,20 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_sample_epoch(args) -> int:
     cfg = _effective_config(args)
-    pairs = list(read_jsonl(require_file(args.input, "--in")))
-    if not pairs:
+    path = require_file(args.input, "--in")
+    # two passes over --in: the first checks every row and keeps only its
+    # position under its image_id, the second streams the sampled rows
+    by_image = {}
+    for pos, qa in enumerate(read_jsonl(path)):
+        by_image.setdefault(qa.image_id, []).append(pos)
+    if not by_image:
         raise MalformedInput(f"dataset {args.input} holds no pairs")
     k = cfg.questions_per_image_per_epoch
-    by_image = {}
-    for pos, qa in enumerate(pairs):
-        by_image.setdefault(qa.image_id, []).append(pos)
     keep = set()
     for image_id, positions in by_image.items():
         rng = stream(cfg.seed, args.epoch, image_id)
         keep.update(rng.sample(positions, min(k, len(positions))))
-    sampled = [qa for pos, qa in enumerate(pairs) if pos in keep]
+    sampled = (qa for pos, qa in enumerate(read_jsonl(path)) if pos in keep)
     count = _publish(args.out, lambda p: write_jsonl(sampled, p),
                      "sample-epoch", cfg, lambda n: {"pairs": n, "epoch": args.epoch})
     _emit({"pairs": count, "images": len(by_image), "epoch": args.epoch})

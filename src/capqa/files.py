@@ -9,7 +9,8 @@ TypeError, ValueError or MalformedInput, ends in one MalformedInput naming
 `PATH`, or `PATH:LINE` for the line formats.
 
 Every output is written through `write_lines`, one line at a time, so a
-writer streams whatever iterable it is given.
+writer streams whatever iterable it is given. JSON-lines rows are encoded by
+`encode_row`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .errors import MalformedInput
 
 # UnicodeDecodeError and JSONDecodeError are ValueErrors
 _BAD_INPUT = (OSError, KeyError, TypeError, ValueError, MalformedInput)
+
+# json.dumps with any non-default argument builds a new JSONEncoder per call;
+# every JSON-lines writer shares this one, which gives the same text
+encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _bad(where, exc) -> MalformedInput:

@@ -9,7 +9,6 @@ levels {1, 3, 5, 7} yields 1+9+25+49 = 84 patches.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -84,9 +83,8 @@ def pyramid(image_id: int, width: int, height: int, levels) -> PatchSpec:
 def write_manifest(specs: Iterable[PatchSpec], path) -> int:
     """One JSON line per patch; returns the line count."""
     return files.write_lines(path, (
-        json.dumps({"image_id": spec.image_id, "level": p.level, "row": p.row,
-                    "col": p.col, "rect": p.rect, "pos_enc": p.pos_enc},
-                   ensure_ascii=False)
+        files.encode_row({"image_id": spec.image_id, "level": p.level, "row": p.row,
+                          "col": p.col, "rect": p.rect, "pos_enc": p.pos_enc})
         for spec in specs
         for p in spec.patches
     ))

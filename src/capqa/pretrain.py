@@ -9,7 +9,6 @@ downstream trainer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -137,6 +136,4 @@ def sample_json_dict(sample: PretrainSample) -> dict:
 
 
 def write_samples(samples, path) -> int:
-    return files.write_lines(
-        path, (json.dumps(sample_json_dict(s), ensure_ascii=False) for s in samples)
-    )
+    return files.write_lines(path, (files.encode_row(sample_json_dict(s)) for s in samples))

@@ -13,7 +13,6 @@ and rounded to six decimals on disk.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -94,7 +93,7 @@ def _weight(entry) -> tuple:
 
 
 def qa_json_line(qa: QAPair) -> str:
-    return json.dumps(to_json_dict(qa), ensure_ascii=False, sort_keys=False)
+    return files.encode_row(to_json_dict(qa))
 
 
 def write_jsonl(pairs: Iterable[QAPair], path) -> int:

@@ -892,6 +892,66 @@ def test_bad_input_file_is_one_located_error_line(case, demo_coco, tmp_path, cap
     assert not os.path.exists(out)
 
 
+# --- failures in the middle of a stream ------------------------------------------
+
+
+def _too_small_last_image(tmp_path, demo_coco):
+    doc = json.loads(Path(demo_coco).read_text())
+    doc["images"].append({"id": 4, "width": 3, "height": 480})
+    doc["annotations"].append({"id": 99, "image_id": 4, "caption": "A tiny dog"})
+    bad = tmp_path / "bad-captions.json"
+    bad.write_text(json.dumps(doc))
+    return bad, "error: image 4: 3x480 too small for level 7"
+
+
+def _empty_answer_last(tmp_path, pairs_path):
+    rows = list(read_jsonl(pairs_path))
+    rows.append(QAPair(qa_id="id99", image_id=2, question="What is it?", answer="",
+                       answer_type="object", source="template", source_caption="A dog"))
+    bad = tmp_path / "bad-pairs.jsonl"
+    write_jsonl(rows, bad)
+    return bad, "error: pair id99 has an empty answer"
+
+
+def _malformed_last_line(tmp_path, pairs_path):
+    bad = tmp_path / "bad-pairs.jsonl"
+    bad.write_bytes(pairs_path.read_bytes() + b'{"qa_id": "id99"}\n')
+    return bad, (f"error: {bad}:13: qa record lacks keys: image_id, question, answer, "
+                 "answer_type, source, source_caption")
+
+
+# command -> (argv with {src} for the input, maker of the bad input)
+MID_STREAM_FAILURES = {
+    "patches": (["patches", "--captions", "{src}"], _too_small_last_image),
+    "pretrain": (["pretrain", "--captions", "{coco}", "--qa", "{src}", "--tasks", "mlm,mqa"],
+                 _empty_answer_last),
+    "sample-epoch": (["sample-epoch", "--in", "{src}", "--epoch", "1"], _malformed_last_line),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MID_STREAM_FAILURES))
+def test_failure_mid_stream_keeps_the_published_output(command, demo_coco, tmp_path,
+                                                        capsys):
+    argv, make_bad = MID_STREAM_FAILURES[command]
+    pairs_path, _ = craft_pairs(tmp_path)
+    good = Path(demo_coco) if command == "patches" else pairs_path
+    bad, expected = make_bad(tmp_path, good)
+    out = tmp_path / "out.jsonl"
+    manifest = tmp_path / "out.jsonl.manifest.json"
+
+    def run(src):
+        args = [a.format(src=src, coco=demo_coco) for a in argv]
+        return main([*args, "--out", str(out)])
+
+    assert run(good) == 0
+    before = (out.read_bytes(), manifest.read_bytes())
+    capsys.readouterr()
+    assert run(bad) == 1
+    assert capsys.readouterr().err == expected + "\n"
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+    assert not list(tmp_path.glob("*.partial"))
+
+
 def test_augment_repeated_qa_id_exit_1(tmp_path, capsys):
     src = tmp_path / "pairs.jsonl"
     src.write_bytes(jsonl(dict(GOOD_ROW, qa_id="same"),
