@@ -21,17 +21,14 @@ from .lingo import WORD_RE, Lexicons, pluralize, singularize
 
 _MAX_SUBSEQ_TOKENS = 12
 
+# answers that are atomic labels rather than decomposable phrases
+_ATOMIC_ANSWERS = ("yes", "no", "none", "can't say")
+
 
 @dataclass
 class WeightedAnswerSet:
     full_answer: str
     entries: list  # (phrase, Fraction), descending weight then lexicographic
-
-
-@dataclass
-class AnswerVocab:
-    phrases: list
-    index: dict
 
 
 def normalize_answer(answer: str) -> list[str]:
@@ -129,25 +126,32 @@ def expand_answer(answer: str, lex: Lexicons) -> WeightedAnswerSet:
     return WeightedAnswerSet(full_answer=full, entries=ordered)
 
 
-def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> AnswerVocab:
-    """Count expanded answer phrases over a pair stream; keep those seen at
+def answer_weights(qa, lex: Lexicons) -> list:
+    """A pair's (phrase, weight) entries: its own weights when it has them;
+    else a yes/no or atomic answer weighs 1 as it stands, and any other
+    answer expands into its weighted sub-phrases."""
+    if qa.weights:
+        return qa.weights
+    if qa.answer_type == "yesno" or qa.answer in _ATOMIC_ANSWERS:
+        return [(qa.answer, Fraction(1))]
+    return expand_answer(qa.answer, lex).entries
+
+
+def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> list:
+    """Count weighted answer phrases over a pair stream; the phrases seen at
     least min_count times, ordered by descending count then phrase."""
     counts: dict[str, int] = {}
     for qa in pairs:
-        if qa.weights:
-            phrases = [p for p, _ in qa.weights]
-        else:
-            phrases = [p for p, _ in expand_answer(qa.answer, lex).entries]
-        for p in phrases:
+        for p, _ in answer_weights(qa, lex):
             counts[p] = counts.get(p, 0) + 1
     kept = [p for p, c in counts.items() if c >= min_count]
     if not kept:
         raise EmptyVocab(f"no phrase reached min_count={min_count}")
     kept.sort(key=lambda p: (-counts[p], p))
-    return AnswerVocab(phrases=kept, index={p: i for i, p in enumerate(kept)})
+    return kept
 
 
-def save_vocab_file(vocab: AnswerVocab, path) -> int:
+def save_vocab_file(phrases, path) -> int:
     """A header line, then one phrase per line; returns the phrase count."""
-    header = f"#capqa-vocab v1 count={len(vocab.phrases)}"
-    return files.write_lines(path, itertools.chain((header,), vocab.phrases)) - 1
+    header = f"#capqa-vocab v1 count={len(phrases)}"
+    return files.write_lines(path, itertools.chain((header,), phrases)) - 1

@@ -15,10 +15,9 @@ import logging
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import files
-from .answers import build_vocab, expand_answer, save_vocab_file
+from .answers import answer_weights, build_vocab, save_vocab_file
 from .augment import augment_batch
 from .config import (
     AUGMENT_MODES,
@@ -51,9 +50,6 @@ from .srl import load_frames, render_qa
 from .stats import StatsAccumulator, export_embeddings, report
 
 log = logging.getLogger(__name__)
-
-# answers that are atomic labels rather than decomposable phrases
-_ATOMIC_ANSWERS = ("yes", "no", "none", "can't say")
 
 
 def _lexicons(cfg: PipelineConfig) -> Lexicons:
@@ -96,15 +92,6 @@ class _Context:
                 self.frames_by_image.setdefault(frame.image_id, []).append(frame)
 
 
-def _ensure_weights(qa, lex) -> None:
-    if qa.weights:
-        return
-    if qa.answer_type == "yesno" or qa.answer in _ATOMIC_ANSWERS:
-        qa.weights = [(qa.answer, Fraction(1))]
-    else:
-        qa.weights = list(expand_answer(qa.answer, lex).entries)
-
-
 def _record_pairs(record, ctx: _Context) -> list:
     """Every enabled generator over one record's captions, weights filled,
     sorted by qa_id."""
@@ -137,7 +124,7 @@ def _record_pairs(record, ctx: _Context) -> list:
         for frame in ctx.frames_by_image.get(record.image_id, ()):
             out.extend(render_qa(frame, lex))
     for qa in out:
-        _ensure_weights(qa, lex)
+        qa.weights = answer_weights(qa, lex)
     out.sort(key=lambda qa: qa.qa_id)
     return out
 
@@ -250,7 +237,7 @@ def _cmd_augment(args) -> int:
         # weighed as written: a written row keeps no weights, which as
         # Fractions would outweigh the rows themselves
         for qa in out_pairs:
-            _ensure_weights(qa, lex)
+            qa.weights = answer_weights(qa, lex)
             yield qa
             qa.weights = None
 
@@ -272,7 +259,7 @@ def _cmd_weigh(args) -> int:
             if args.force:
                 qa.weights = None
             if not qa.weights:
-                _ensure_weights(qa, lex)
+                qa.weights = answer_weights(qa, lex)
                 filled += 1
             yield qa
 
@@ -284,12 +271,12 @@ def _cmd_weigh(args) -> int:
 
 def _cmd_vocab(args) -> int:
     cfg = _effective_config(args)
-    vocab = build_vocab(
+    phrases = build_vocab(
         read_jsonl(require_file(args.input, "--in")),
         lex=_lexicons(cfg),
         min_count=cfg.min_count,
     )
-    count = _publish(args.out, lambda p: save_vocab_file(vocab, p),
+    count = _publish(args.out, lambda p: save_vocab_file(phrases, p),
                      "vocab", cfg, lambda n: {"phrases": n})
     _emit({"phrases": count})
     return 0

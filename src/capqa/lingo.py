@@ -48,10 +48,15 @@ class Token(NamedTuple):
 
 
 class NounPhrase(NamedTuple):
-    """Maximal DET? NUM? ADJ* NOUN+ run; head is the final noun."""
+    """Maximal DET? NUM? ADJ* NOUN+ run; head is the final noun.
+
+    `tokens` is `tokens[start:end]` of the analysis the phrase came from.
+    """
 
     tokens: tuple[Token, ...]
     head: Token
+    start: int
+    end: int
     determiner: Optional[Token] = None
     quantifier: Optional[Token] = None
     color: Optional[Token] = None
@@ -284,29 +289,20 @@ def _chunk(tokens, lex: Lexicons):
         while j < n and tokens[j].pos in (NOUN, PROPN):
             j += 1
         if j > first_noun:
-            nps.append(NounPhrase(tuple(tokens[i:j]), tokens[j - 1], det, quant, color))
+            nps.append(NounPhrase(tuple(tokens[i:j]), tokens[j - 1], i, j, det, quant, color))
             i = j
         else:
             i = max(j, i + 1)
     return nps
 
 
-def token_index(tokens, tok) -> int:
-    """Position of `tok` (by identity) in `tokens`."""
-    for i, t in enumerate(tokens):
-        if t is tok:
-            return i
-    raise ValueError("token not part of this analysis")
-
-
 def subject_np(tokens, nps):
-    """First noun phrase not governed by a preposition, with its start index;
-    (None, -1) when every phrase follows one."""
+    """First noun phrase not governed by a preposition; None when every
+    phrase follows one."""
     for np_ in nps:
-        idx = token_index(tokens, np_.tokens[0])
-        if idx == 0 or tokens[idx - 1].pos != ADP:
-            return np_, idx
-    return None, -1
+        if np_.start == 0 or tokens[np_.start - 1].pos != ADP:
+            return np_
+    return None
 
 
 def lower_squeeze(text: str) -> str:

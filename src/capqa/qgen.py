@@ -18,7 +18,7 @@ from . import wordlists as wl
 from .config import PipelineConfig
 from .embed import EmbeddingStore, nearest
 from .errors import Unsupported, ZeroVector
-from .lingo import ADP, AUX, NOUN, OTHER, PROPN, VERB, Lexicons, subject_np, token_index
+from .lingo import ADP, AUX, NOUN, OTHER, PROPN, VERB, Lexicons, subject_np
 from .qa import QAPair, derived_qa_id, make_qa_id
 from .rng import stream
 
@@ -147,9 +147,7 @@ def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicon
     if not nps:
         return []
     rng = stream(cfg.seed, record.image_id, caption_index, "yesno")
-    subject, _ = subject_np(tokens, nps)
-    if subject is None:
-        subject = nps[0]
+    subject = subject_np(tokens, nps) or nps[0]
     prefix = _agree_prefix(rng.choice(list(cfg.yesno_prefixes)), _is_plural(subject.head))
 
     body_words = lingo.strip_aux(tokens, lex).split(" ")
@@ -201,7 +199,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
     """Replace noun phrases with "what"; the removed phrase is the answer."""
     tokens, nps = analysis
     pairs = []
-    subject, subj_idx = subject_np(tokens, nps)
+    subject = subject_np(tokens, nps)
 
     def emit(question, answer):
         pairs.append(
@@ -209,11 +207,10 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
                   _shorten(question), answer, "object")
         )
 
-    if len(nps) == 1 and all(
-        any(t is u for u in nps[0].tokens) or lingo.is_punct(t.text)
-        for t in tokens
+    np_ = nps[0] if len(nps) == 1 else None
+    if np_ is not None and all(
+        lingo.is_punct(t.text) for t in tokens[:np_.start] + tokens[np_.end:]
     ):
-        np_ = nps[0]
         if _object_eligible(np_):
             question = "What are these?" if _is_plural(np_.head) else "What is this?"
             emit(question, _np_answer(np_))
@@ -226,8 +223,7 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
         is_subject = np_ is subject
         if is_subject:
             if np_.head.lemma not in lex.persons:
-                end = token_index(tokens, np_.tokens[-1]) + 1
-                rest = tokens[end:]
+                rest = tokens[np_.end:]
                 if rest and not (rest[0].pos == OTHER and rest[0].text.lower() in wl.CONJUNCTIONS):
                     parts = ["what"]
                     if rest[0].pos != AUX:
@@ -235,20 +231,18 @@ def gen_object(record, caption_index, analysis, lex: Lexicons):
                     parts.append(_words(rest))
                     emit(_finish(parts), _np_answer(np_))
             # sentence-initial compound: the first noun alone is questionable
-            nouns = [t for t in np_.tokens if t.pos in (NOUN, PROPN)]
-            if subj_idx == 0 and len(nouns) >= 2:
-                first = nouns[0]
+            nouns = [k for k in range(np_.start, np_.end) if tokens[k].pos in (NOUN, PROPN)]
+            if np_.start == 0 and len(nouns) >= 2:
+                first = tokens[nouns[0]]
                 if first.lemma not in lex.persons and first.lemma not in wl.RELATIONAL_NOUNS:
-                    after = tokens[token_index(tokens, first) + 1:]
+                    after = tokens[nouns[0] + 1:]
                     emit(_finish(["what", _words(after)]), first.text.lower())
-        elif subject is not None and np_.tokens[0].span > subject.tokens[0].span:
+        elif subject is not None and np_.start > subject.start:
             # a phrase before the subject would be asked without its context
-            subj_end = token_index(tokens, subject.tokens[-1]) + 1
-            target_ids = {id(t) for t in np_.tokens}
             aux_tok = next((t for t in tokens if t.pos == AUX), None)
             remainder = [
-                t for t in tokens[subj_end:]
-                if id(t) not in target_ids and t is not aux_tok
+                t for t in tokens[subject.end:np_.start] + tokens[np_.end:]
+                if t is not aux_tok
             ]
             aux = aux_tok.text.lower() if aux_tok is not None else _be(subj_plural)
             emit(
@@ -291,7 +285,7 @@ def gen_number(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexico
         rest = " ".join(rest_words)
 
         post = []
-        for t in tokens[token_index(tokens, np_.tokens[-1]) + 1:]:
+        for t in tokens[np_.end:]:
             if t.text.lower() in wl.CONJUNCTIONS:
                 break
             post.append(t)
@@ -338,14 +332,14 @@ def gen_color(record, caption_index, analysis):
 
 def gen_location(record, caption_index, analysis, lex: Lexicons):
     tokens, nps = analysis
-    subject, subj_idx = subject_np(tokens, nps)
-    start_of = {id(np_.tokens[0]): np_ for np_ in nps}
+    subject = subject_np(tokens, nps)
+    start_of = {np_.start: np_ for np_ in nps}
     pairs = []
     for i in range(len(tokens) - 1):
         t = tokens[i]
         if t.pos != ADP or t.text.lower() not in ("in", "within"):
             continue
-        loc = start_of.get(id(tokens[i + 1]))
+        loc = start_of.get(i + 1)
         if loc is None or loc.head.lemma not in lex.locations:
             continue
         if subject is None or loc is subject:
@@ -356,7 +350,7 @@ def gen_location(record, caption_index, analysis, lex: Lexicons):
             topic = _definite_phrase(subject.tokens, subject.determiner)
             body = f"where {be} {topic} {prev.text.lower()}"
         else:
-            span = tokens[subj_idx:i]
+            span = tokens[subject.start:i]
             body = f"where {be} {_definite_phrase(span, subject.determiner)}"
         pairs.append(
             _pair(
@@ -395,7 +389,7 @@ def _negate_yesno_question(question: str, lex: Lexicons) -> str:
     if len(words) >= 2 and low[1] in _DEMONSTRATIVES:
         return _splice(words, insert_at=2, insert_word="not")
     tokens, nps = lingo.analyze(question, lex)
-    after_subject = token_index(tokens, nps[0].tokens[-1]) + 1 if nps else 1
+    after_subject = nps[0].end if nps else 1
     return _splice(words, insert_at=after_subject, insert_word="not")
 
 

@@ -146,7 +146,7 @@ def animacy(phrase: str, lex: Lexicons) -> str:
     if not phrase or not phrase.strip():
         raise MalformedInput("empty phrase")
     tokens, nps = lingo.analyze(phrase, lex)
-    subject, _ = lingo.subject_np(tokens, nps)
+    subject = lingo.subject_np(tokens, nps)
     lemma = subject.head.lemma if subject is not None else tokens[-1].lemma
     return "animate" if lemma in lex.persons or lemma in lex.animals else "inanimate"
 

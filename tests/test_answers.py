@@ -123,16 +123,16 @@ def test_long_answer_contiguous_fallback():
 
 def test_build_vocab_counting_oracle():
     pairs = [make_pair(a, i) for i, a in enumerate(["cat", "cat", "dog"])]
-    vocab = build_vocab(pairs, min_count=2, lex=LEX)
-    assert "cat" in vocab.index and "cats" in vocab.index
-    assert "dog" not in vocab.index and "dogs" not in vocab.index
+    phrases = build_vocab(pairs, min_count=2, lex=LEX)
+    assert "cat" in phrases and "cats" in phrases
+    assert "dog" not in phrases and "dogs" not in phrases
 
 
 def test_build_vocab_min_count_one_single_pair():
     pairs = [make_pair("two cars", 0)]
-    vocab = build_vocab(pairs, min_count=1, lex=LEX)
+    phrases = build_vocab(pairs, min_count=1, lex=LEX)
     expected_phrases = {p for p, _ in expand_answer("two cars", LEX).entries}
-    assert set(vocab.phrases) == expected_phrases
+    assert set(phrases) == expected_phrases
 
 
 def test_build_vocab_threshold_too_high():
@@ -142,14 +142,14 @@ def test_build_vocab_threshold_too_high():
 
 def test_build_vocab_ordering_frequency_then_lexicographic():
     pairs = [make_pair(a, i) for i, a in enumerate(["dog", "dog", "ant", "bee"])]
-    vocab = build_vocab(pairs, min_count=1, lex=LEX)
-    counts = {p: 0 for p in vocab.phrases}
+    phrases = build_vocab(pairs, min_count=1, lex=LEX)
+    counts = {p: 0 for p in phrases}
     for pr in pairs:
         for phrase, _ in expand_answer(pr.answer, LEX).entries:
             counts[phrase] += 1
-    expected = sorted(vocab.phrases, key=lambda p: (-counts[p], p))
-    assert vocab.phrases == expected
-    assert vocab.phrases[:2] == ["dog", "dogs"]
+    expected = sorted(phrases, key=lambda p: (-counts[p], p))
+    assert phrases == expected
+    assert phrases[:2] == ["dog", "dogs"]
 
 
 def make_pair(answer, i, weights=None, answer_type="object"):
@@ -171,9 +171,9 @@ def weighted_pair(answer, i=0):
 
 
 def test_vocab_file_lines(tmp_path):
-    vocab = build_vocab([weighted_pair("two black cars")], min_count=1, lex=LEX)
+    phrases = build_vocab([weighted_pair("two black cars")], min_count=1, lex=LEX)
     p = tmp_path / "vocab.txt"
-    save_vocab_file(vocab, p)
-    header, *phrases = p.read_text(encoding="utf-8").split("\n")[:-1]
-    assert header == f"#capqa-vocab v1 count={len(vocab.phrases)}"
-    assert phrases == vocab.phrases
+    assert save_vocab_file(phrases, p) == len(phrases)
+    header, *lines = p.read_text(encoding="utf-8").split("\n")[:-1]
+    assert header == f"#capqa-vocab v1 count={len(phrases)}"
+    assert lines == phrases

@@ -499,6 +499,24 @@ class TestVocabCommand:
         words = out.read_text().splitlines()[1:]
         assert words == ["red"]
 
+    def test_unweighed_rows_count_as_weigh_fills_them(self, tmp_path, capsys):
+        pairs = [
+            QAPair("v1", 1, "Is there a dog?", "yes", "yesno", "template", "c"),
+            QAPair("v2", 2, "What is this?", "can't say", "object", "adversarial", "c"),
+            QAPair("v3", 3, "What is parked?", "two black cars", "phrase", "srl", "c"),
+        ]
+        src = tmp_path / "in.jsonl"
+        write_jsonl(pairs, src)
+        weighed = tmp_path / "weighed.jsonl"
+        assert main(["weigh", "--in", str(src), "--out", str(weighed)]) == 0
+        direct, via_weigh = tmp_path / "direct.txt", tmp_path / "via_weigh.txt"
+        assert main(["vocab", "--in", str(src), "--out", str(direct)]) == 0
+        assert main(["vocab", "--in", str(weighed), "--out", str(via_weigh)]) == 0
+        assert direct.read_text() == via_weigh.read_text()
+        phrases = direct.read_text().splitlines()[1:]
+        assert {"yes", "can't say"} <= set(phrases)
+        assert not {"yeses", "can't", "say", "says"} & set(phrases)
+
 
 class TestPatchesCommand:
     def test_entry_count(self, demo_coco, tmp_path, capsys):

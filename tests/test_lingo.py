@@ -10,6 +10,7 @@ from capqa.lingo import (
     pluralize,
     singularize,
     strip_aux,
+    subject_np,
 )
 
 LEX = Lexicons.default()
@@ -66,7 +67,7 @@ def test_token_spans_reconstruct_input():
 
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=60))
 def test_spans_cover_all_nonspace_characters(caption):
-    tokens, _ = analyze(caption, LEX)
+    tokens, nps = analyze(caption, LEX)
     covered = set()
     for t in tokens:
         s, e = t.span
@@ -78,6 +79,13 @@ def test_spans_cover_all_nonspace_characters(caption):
             assert i in covered
     spans = [t.span for t in tokens]
     assert spans == sorted(spans)
+    # each phrase is its token range, the ranges ascending and disjoint
+    prev_end = 0
+    for np in nps:
+        assert prev_end <= np.start < np.end
+        assert np.tokens == tuple(tokens[np.start:np.end])
+        assert np.head is tokens[np.end - 1]
+        prev_end = np.end
 
 
 @given(st.sampled_from([
@@ -88,6 +96,14 @@ def test_spans_cover_all_nonspace_characters(caption):
 ]))
 def test_analyze_pure(caption):
     assert analyze(caption, LEX) == analyze(caption, LEX)
+
+
+def test_subject_np_skips_phrases_after_a_preposition():
+    tokens, nps = analyze("On the table near a window", LEX)
+    assert [np.text for np in nps] == ["the table", "a window"]
+    assert subject_np(tokens, nps) is None
+    tokens, nps = analyze("On the table a cat sleeps", LEX)
+    assert subject_np(tokens, nps) is nps[1]
 
 
 def test_strip_aux_removes_first_copula():
