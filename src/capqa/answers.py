@@ -5,13 +5,15 @@ subsequence that keeps the head (final) token, and every single token, each
 weighted by its token count over n. Number words swap with digits and nouns
 swap number, so "two black cars" also matches "2 cars" at weight 2/3.
 Answers longer than twelve content tokens fall back to single tokens plus
-head-final contiguous suffixes to keep expansion linear.
+head-final contiguous suffixes to keep expansion linear. `expand_answer`
+returns the (phrase, Fraction) list, by descending weight then phrase: the
+weights are counted as integer token counts and each entry's count becomes
+one exact Fraction at the end.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import files
@@ -23,12 +25,6 @@ _MAX_SUBSEQ_TOKENS = 12
 
 # answers that are atomic labels rather than decomposable phrases
 _ATOMIC_ANSWERS = ("yes", "no", "none", "can't say")
-
-
-@dataclass
-class WeightedAnswerSet:
-    full_answer: str
-    entries: list  # (phrase, Fraction), descending weight then lexicographic
 
 
 def normalize_answer(answer: str) -> list[str]:
@@ -48,12 +44,10 @@ def _no_plural_variant(tok: str, lex: Lexicons) -> bool:
     )
 
 
-def _token_variants(tok: str, lex: Lexicons, digit_to_word: dict) -> list[str]:
+def _token_variants(tok: str, lex: Lexicons) -> list[str]:
     out = []
-    if tok in lex.number_words:
-        out.append(lex.number_words[tok])
-    elif tok in digit_to_word:
-        out.append(digit_to_word[tok])
+    if tok in lex.number_swap:
+        out.append(lex.number_swap[tok])
     if not _no_plural_variant(tok, lex):
         sing = singularize(tok)
         if sing != tok:
@@ -65,65 +59,46 @@ def _token_variants(tok: str, lex: Lexicons, digit_to_word: dict) -> list[str]:
     return out
 
 
-def _digit_swaps(toks, lex: Lexicons, digit_to_word: dict):
-    """Every variant of a multi-token phrase with number words and digits
-    exchanged at any subset of positions (the identity excluded)."""
-    alts = []
-    for t in toks:
-        if t in lex.number_words:
-            alts.append((t, lex.number_words[t]))
-        elif t in digit_to_word:
-            alts.append((t, digit_to_word[t]))
-        else:
-            alts.append((t,))
-    for combo in itertools.product(*alts):
-        if list(combo) != list(toks):
-            yield combo
+def _digit_swaps(toks, lex: Lexicons):
+    """Every spelling of a multi-token phrase with number words and digits
+    exchanged at any subset of positions, the phrase itself first."""
+    swap = lex.number_swap
+    return itertools.product(*((t, swap[t]) if t in swap else (t,) for t in toks))
 
 
-def expand_answer(answer: str, lex: Lexicons) -> WeightedAnswerSet:
-    digit_to_word = {d: w for w, d in lex.number_words.items()}
+def expand_answer(answer: str, lex: Lexicons) -> list:
+    """The answer's (phrase, weight) entries, by descending weight then phrase.
+
+    Each phrase keeps the largest token count it is reached with; the count
+    becomes one exact `Fraction(count, n)` per entry once the order is fixed.
+    """
     toks = normalize_answer(answer)
     if not toks:
         raise MalformedInput(f"answer {answer!r} has no content tokens")
     n = len(toks)
-    full = " ".join(toks)
-
-    entries: dict[str, Fraction] = {}
+    counts = {" ".join(toks): n}
 
     def add(phrase: str, count: int) -> None:
-        w = Fraction(count, n)
-        if entries.get(phrase, Fraction(0)) < w:
-            entries[phrase] = w
+        if counts.get(phrase, 0) < count:
+            counts[phrase] = count
 
-    add(full, n)
-
-    index_sets: set[tuple[int, ...]] = {(i,) for i in range(n)}
+    for tok in toks:
+        add(tok, 1)
+        for var in _token_variants(tok, lex):
+            add(var, 1)
     if n <= _MAX_SUBSEQ_TOKENS:
-        head = n - 1
-        for r in range(1, n - 1):
-            for combo in itertools.combinations(range(n - 1), r):
-                index_sets.add((*combo, head))
+        subsets = ((*combo, toks[-1]) for r in range(1, n - 1)
+                   for combo in itertools.combinations(toks[:-1], r))
     else:
         # long answers: contiguous head-final suffixes only
-        for i in range(1, n):
-            index_sets.add(tuple(range(i, n)))
+        subsets = (toks[i:] for i in range(1, n - 1))
+    for sub in subsets:
+        count = len(sub)
+        for spelling in _digit_swaps(sub, lex):
+            add(" ".join(spelling), count)
 
-    for idxs in sorted(index_sets):
-        sub = [toks[i] for i in idxs]
-        count = len(idxs)
-        if count == n and n > 1:
-            continue
-        add(" ".join(sub), count)
-        if count == 1:
-            for var in _token_variants(sub[0], lex, digit_to_word):
-                add(var, 1)
-        else:
-            for combo in _digit_swaps(sub, lex, digit_to_word):
-                add(" ".join(combo), count)
-
-    ordered = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return WeightedAnswerSet(full_answer=full, entries=ordered)
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(phrase, Fraction(count, n)) for phrase, count in ordered]
 
 
 def answer_weights(qa, lex: Lexicons) -> list:
@@ -134,7 +109,7 @@ def answer_weights(qa, lex: Lexicons) -> list:
         return qa.weights
     if qa.answer_type == "yesno" or qa.answer in _ATOMIC_ANSWERS:
         return [(qa.answer, Fraction(1))]
-    return expand_answer(qa.answer, lex).entries
+    return expand_answer(qa.answer, lex)
 
 
 def build_vocab(pairs, lex: Lexicons, min_count: int = 1) -> list:

@@ -291,7 +291,9 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
 
     Each accepted rewrite becomes a new pair carrying the same answer and a
     parent_id pointing at its source pair. A batch whose response ids are not
-    exactly its request ids counts as an unavailable rewriter. Repeated input
+    exactly its request ids counts as an unavailable rewriter. A rewrite whose
+    derived qa_id is already an input qa_id is the variant an earlier run
+    wrote: it keeps its ordinal and is not written again. Repeated input
     qa_ids raise MalformedInput, and a mode/pivot pair that RewriteRequest
     rejects raises ValueError, both before any rewriter call.
     """
@@ -299,7 +301,8 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
     if not pairs:
         raise MalformedInput("augment_batch needs at least one pair")
     # responses and derived ids are keyed by qa_id, so each must be unique
-    repeated = sorted(i for i, n in Counter(p.qa_id for p in pairs).items() if n > 1)
+    input_ids = Counter(p.qa_id for p in pairs)
+    repeated = sorted(i for i, n in input_ids.items() if n > 1)
     if repeated:
         raise MalformedInput(f"repeated qa_id(s) in augment input: {repeated[:5]}")
     mode = cfg.augment_mode
@@ -345,9 +348,13 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
                 continue
             if rng.random() >= cfg.keep_probability:
                 continue
+            qa_id = derived_qa_id(pair.image_id, pair.qa_id, mode, ordinal)
+            ordinal += 1
+            if qa_id in input_ids:
+                continue  # an earlier run's variant, already in the input
             out.append(
                 QAPair(
-                    qa_id=derived_qa_id(pair.image_id, pair.qa_id, mode, ordinal),
+                    qa_id=qa_id,
                     image_id=pair.image_id,
                     question=rewrite,
                     answer=pair.answer,
@@ -357,5 +364,4 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
                     parent_id=pair.qa_id,
                 )
             )
-            ordinal += 1
     return out

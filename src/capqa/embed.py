@@ -2,10 +2,10 @@
 
 Vectors load from the plain-text format used by GloVe releases: one word
 per line followed by whitespace-separated floats. Only the operations the
-pipeline needs are provided (a candidate table built once per run, a top-k
-query against it, mean pooling); the store is a plain dict so lookups stay
-trivial. numpy is imported inside the functions that use it, so importing
-this module, as every command does, does not load it.
+pipeline needs are provided (a candidate table built once per run, a
+best-match query against it, mean pooling); the store is a plain dict so
+lookups stay trivial. numpy is imported inside the functions that use it, so
+importing this module, as every command does, does not load it.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class Candidates:
         return len(self.words)
 
 
-def nearest(word: str, store: EmbeddingStore, candidates: Candidates, exclude=(), k=1,
-            lemmas=()):
-    """Top-k rows of `candidates` by cosine similarity to `word`.
+def nearest(word: str, store: EmbeddingStore, candidates: Candidates, exclude=(), lemmas=()):
+    """The row of `candidates` most cosine-similar to `word`, as (word, score),
+    or None when every row is skipped.
 
     Skipped: `word` itself, the words in `exclude`, and every row with a part
     whose singular is in `lemmas`. Ties break lexicographically.
@@ -128,13 +128,11 @@ def nearest(word: str, store: EmbeddingStore, candidates: Candidates, exclude=()
         if row is not None:
             keep[row] = False
     kept = np.flatnonzero(keep)
+    if not kept.size:
+        return None
     scores = (candidates.matrix @ query)[kept] / (qnorm * candidates.norms[kept])
-    top = []
-    for _ in range(min(k, len(kept))):
-        i = int(np.argmax(scores))  # the first maximum: rows are in word order
-        top.append((candidates.words[kept[i]], float(scores[i])))
-        scores[i] = -np.inf
-    return top
+    i = int(np.argmax(scores))  # the first maximum: rows are in word order
+    return candidates.words[kept[i]], float(scores[i])
 
 
 def mean_pool(text: str, store: EmbeddingStore) -> np.ndarray:

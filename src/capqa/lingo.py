@@ -84,9 +84,12 @@ class Lexicons:
     animals: frozenset
 
     def __post_init__(self):
-        # closed-class word -> (tag, lemma); not a field, so equality and
-        # repr ignore it and `replace` rebuilds it from the new lists
+        # derived tables, not fields, so equality and repr ignore them and
+        # `replace` rebuilds them from the new lists: closed-class word ->
+        # (tag, lemma), and number word <-> digit (a word's own entry wins)
         object.__setattr__(self, "closed_class", _closed_class_table(self))
+        object.__setattr__(self, "number_swap", {
+            **{d: w for w, d in self.number_words.items()}, **self.number_words})
 
     @classmethod
     def default(cls) -> "Lexicons":

@@ -469,13 +469,13 @@ def adversarial_qa(qa: QAPair, analysis, store: EmbeddingStore, object_vocab,
     surface, word = target
 
     try:
-        hits = nearest(word, store, object_vocab, exclude=record_lemmas | {surface, word},
+        best = nearest(word, store, object_vocab, exclude=record_lemmas | {surface, word},
                        lemmas=record_lemmas)
     except ZeroVector:
         return None
-    if not hits or hits[0][1] < cfg.adversarial_threshold:
+    if best is None or best[1] < cfg.adversarial_threshold:
         return None
-    substitute = hits[0][0]
+    substitute = best[0]
     if lingo.singularize(surface) != surface:
         parts = substitute.split(" ")
         parts[-1] = lingo.pluralize(parts[-1])

@@ -130,10 +130,25 @@ def load_frames(path, corpus) -> list:
     """Read frame JSONL, resolving each frame against the caption corpus.
 
     Frames pointing at unknown images or caption indices are dropped (with a
-    counted warning); structural problems raise MalformedInput.
+    counted warning); structural problems, and a kept frame repeating the
+    caption, predicate lemma and predicate start of an earlier one (which
+    its pair ids are keyed on), raise MalformedInput.
     """
     by_id = {rec.image_id: rec for rec in corpus.records}
-    parsed = list(files.read_json_lines(path, lambda d: _parse_frame(d, by_id)))
+    keys = set()
+
+    def parse(d):
+        frame = _parse_frame(d, by_id)
+        if frame is not None:
+            key = (frame.image_id, frame.caption_index, frame.predicate.lemma,
+                   frame.predicate.span[0])
+            if key in keys:
+                raise MalformedInput("repeated frame: image {}, caption {}, predicate {!r} "
+                                     "at {}".format(*key))
+            keys.add(key)
+        return frame
+
+    parsed = list(files.read_json_lines(path, parse))
     frames = [frame for frame in parsed if frame is not None]
     if len(frames) < len(parsed):
         log.warning("dropped %d frame(s) referencing unknown captions",

@@ -162,7 +162,7 @@ def test_criterion_2_subphrase_weights():
         expanded = expand_answer("two black cars", LEX)
         elapsed = time.perf_counter() - start
 
-        entries = dict(expanded.entries)
+        entries = dict(expanded)
         third = Fraction(1, 3)
         two_thirds = Fraction(2, 3)
         assert entries == {

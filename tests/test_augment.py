@@ -180,6 +180,21 @@ def test_batch_deterministic():
     assert a == b
 
 
+def test_rerun_keeps_the_variants_already_present():
+    pairs = [
+        make_pair("How many cars are visible?", "2", qa_id="a", answer_type="number"),
+        make_pair("Is there a dog?", "yes", qa_id="b"),
+    ]
+    first = augment_batch(pairs, "builtin", PARA)
+    second = augment_batch(first, "builtin", PARA)
+    first_ids = {p.qa_id for p in first}
+    added = [p for p in second if not any(p is q for q in first)]
+    assert len(first_ids) > len(pairs) and added  # both runs wrote variants
+    assert not {p.qa_id for p in added} & first_ids
+    ids = [p.qa_id for p in second]
+    assert len(ids) == len(set(ids))
+
+
 # --- augment_batch with an in-process rewriter ------------------------------------
 
 

@@ -135,43 +135,27 @@ def test_nearest_matches_exhaustive_scan():
         "table": [0.0, 0.0, 1.0],
     })
     cands = {"dog", "car", "table"}
-    result = nearest("man", store, candidates=Candidates(store, cands), exclude=set(), k=2)
-    oracle = sorted(
-        ((w, cosine("man", w, store)) for w in cands),
-        key=lambda ws: (-ws[1], ws[0]),
-    )[:2]
-    assert [w for w, _ in result] == [w for w, _ in oracle]
-    for (w1, s1), (w2, s2) in zip(result, oracle):
-        assert s1 == pytest.approx(s2, abs=1e-12)
+    word, score = nearest("man", store, candidates=Candidates(store, cands), exclude=set())
+    oracle = min(((w, cosine("man", w, store)) for w in cands), key=lambda ws: (-ws[1], ws[0]))
+    assert word == oracle[0]
+    assert score == pytest.approx(oracle[1], abs=1e-12)
 
 
 def test_nearest_all_excluded():
     store = store_from({"man": [1.0, 0.0], "dog": [0.9, 0.1]})
-    assert nearest("man", store, candidates=Candidates(store, {"dog"}), exclude={"dog"}, k=3) == []
+    assert nearest("man", store, candidates=Candidates(store, {"dog"}), exclude={"dog"}) is None
 
 
 def test_nearest_tie_lexicographic():
     store = store_from({"q": [1.0, 0.0], "bb": [2.0, 0.0], "aa": [3.0, 0.0]})
-    result = nearest("q", store, candidates=Candidates(store, {"aa", "bb"}), exclude=set(),
-                     k=2)
-    assert [w for w, _ in result] == ["aa", "bb"]
+    word, _ = nearest("q", store, candidates=Candidates(store, {"aa", "bb"}), exclude=set())
+    assert word == "aa"
 
 
 def test_nearest_unknown_query():
     store = store_from({"a": [1.0, 0.0]})
     with pytest.raises(UnknownWord):
-        nearest("zzz", store, candidates=Candidates(store, {"a"}), exclude=set(), k=1)
-
-
-def test_nearest_prefix_property():
-    store = store_from({
-        "q": [1.0, 0.1], "a": [0.9, 0.2], "b": [0.1, 1.0], "c": [0.5, 0.5], "d": [-1.0, 0.0],
-    })
-    cands = Candidates(store, {"a", "b", "c", "d"})
-    for k in (1, 2, 3):
-        shorter = nearest("q", store, candidates=cands, exclude=set(), k=k)
-        longer = nearest("q", store, candidates=cands, exclude=set(), k=k + 1)
-        assert longer[: len(shorter)] == shorter
+        nearest("zzz", store, candidates=Candidates(store, {"a"}), exclude=set())
 
 
 # --- the candidate table against the scalar reference -------------------------
@@ -207,19 +191,17 @@ def absent(candidate, lemmas):
     return all(singularize(w) not in lemmas for w in candidate.split(" "))
 
 
-def assert_matches_reference(got, ranking, k):
-    """`ranking` is the reference's full order; near ties (1e-9) may swap."""
-    scores = dict(ranking)
-    ref = [s for _, s in ranking]
-    assert len(got) == min(k, len(ranking))
-    for (w1, s1), (w2, s2) in zip(got, got[1:]):
-        assert s1 > s2 or (s1 == s2 and w1 < w2)  # equal scores in word order
-    for i, (word, score) in enumerate(got):
-        assert abs(score - scores[word]) <= 1e-12
-        separated = all(abs(ref[i] - ref[j]) > 1e-9 for j in (i - 1, i + 1)
-                        if 0 <= j < len(ref))
-        if separated:
-            assert word == ranking[i][0]
+def assert_matches_reference(got, ranking):
+    """`got` is the best (word, score) or None; `ranking` is the reference's
+    full order, whose first place a near tie (1e-9) may take instead."""
+    if not ranking:
+        assert got is None
+        return
+    word, score = got
+    assert abs(score - dict(ranking)[word]) <= 1e-12
+    assert score >= ranking[0][1] - 1e-9
+    if len(ranking) == 1 or ranking[0][1] - ranking[1][1] > 1e-9:
+        assert word == ranking[0][0]
 
 
 @given(data=st.data())
@@ -233,7 +215,6 @@ def test_nearest_agrees_with_scalar_reference(data):
                       label="candidates")
     exclude = data.draw(st.sets(st.sampled_from(POOL + STRAYS), max_size=3), label="exclude")
     lemmas = data.draw(st.frozensets(st.sampled_from(LEMMAS), max_size=3), label="lemmas")
-    k = data.draw(st.integers(1, 4), label="k")
     table = Candidates(store, words)
     assert table.words == sorted(
         {w.lower() for w in words} & {w for w, v in store.vectors.items() if v.any()})
@@ -242,9 +223,9 @@ def test_nearest_agrees_with_scalar_reference(data):
         ranking = scalar_nearest(word, store, allowed, exclude, k=len(POOL))
     except ZeroVector:
         with pytest.raises(ZeroVector):
-            nearest(word, store, table, exclude, k, lemmas=lemmas)
+            nearest(word, store, table, exclude, lemmas=lemmas)
         return
-    assert_matches_reference(nearest(word, store, table, exclude, k, lemmas=lemmas), ranking, k)
+    assert_matches_reference(nearest(word, store, table, exclude, lemmas=lemmas), ranking)
 
 
 # singular nouns, so the substitute is never pluralized
@@ -288,7 +269,7 @@ def test_adversarial_qa_agrees_with_absent_filter_and_scalar_scan(data):
     elif best > threshold + 1e-9:
         assert out is not None and out.answer == "no"
         got = re.fullmatch(r"Is there an? (.+)\?", out.question).group(1)
-        assert_matches_reference([(got, cosine(first, got, store))], ranking, 1)
+        assert_matches_reference((got, cosine(first, got, store)), ranking)
 
 
 def test_mean_pool_single_word():

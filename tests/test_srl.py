@@ -216,6 +216,31 @@ def test_duplicate_agent_rejected(tmp_path):
         load_frames(path, corpus())
 
 
+def test_repeated_frame_rejected_with_its_line(tmp_path):
+    """Pair ids are keyed on caption, predicate lemma and predicate start, so
+    a second frame with the same key would repeat the first frame's ids."""
+    hold = frame_dict(lemma="hold", verb_span=list(span(GIRL, "holding")), args=[
+        {"role": "AGENT", "text": "girl in a red shirt",
+         "span": list(span(GIRL, "girl in a red shirt"))},
+        {"role": "PATIENT", "text": "an apple", "span": list(span(GIRL, "an apple"))},
+    ])
+    path = write_frames(tmp_path / "frames.jsonl", [hold, frame_dict(), hold])
+    with pytest.raises(MalformedInput, match=r"frames\.jsonl:3: repeated frame"):
+        load_frames(path, corpus())
+
+
+def test_same_predicate_on_other_caption_or_start_kept(tmp_path):
+    dicts = [
+        frame_dict(),
+        frame_dict(lemma="hold"),  # another lemma at the same start
+        frame_dict(verb_span=list(span(GIRL, "holding"))),  # another start
+        frame_dict(image_id=404),  # dropped, so it repeats nothing
+        frame_dict(image_id=404),
+    ]
+    path = write_frames(tmp_path / "frames.jsonl", dicts)
+    assert len(load_frames(path, corpus())) == 3
+
+
 def test_empty_arg_text_rejected(tmp_path):
     d = frame_dict(args=[{"role": "AGENT", "text": "", "span": [0, 0]}])
     path = write_frames(tmp_path / "frames.jsonl", [d])
