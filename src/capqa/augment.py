@@ -2,7 +2,12 @@
 
 Rewrites come from a pluggable rewriter: an HTTP endpoint (POST /rewrite),
 one subprocess per run speaking line-delimited JSON over stdin/stdout, an
-in-process callable, or the built-in rule table. Whatever the backend, every
+in-process callable, or the built-in rule table. Requests go to a backend in
+batches, each a slice of the input pairs, as wire objects {"request_id",
+"text", "mode", "pivot_language"?}. Every backend other than the rule table
+answers with wire objects {"request_id", "rewrites"}, and one check requires
+a string id and a list of string rewrites. The config values a backend reads
+were checked when PipelineConfig was built. Whatever the backend, every
 accepted rewrite must leave the answer's presence in the question unchanged,
 so augmentation can never silently detach a question from its answer.
 """
@@ -15,45 +20,12 @@ import shlex
 import subprocess
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import Optional
 
-from .config import AUGMENT_MODES, PipelineConfig
+from .config import PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
 from .lingo import WORD_RE, lower_squeeze, singularize
 from .qa import QAPair, derived_qa_id
 from .rng import stream
-
-_PIVOTS = ("fr", "de", "es")
-
-
-@dataclass(frozen=True)
-class RewriteRequest:
-    request_id: str
-    text: str
-    mode: str
-    pivot_language: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.text:
-            raise ValueError("rewrite request text must be non-empty")
-        if self.mode not in AUGMENT_MODES:
-            raise ValueError(f"mode must be one of {AUGMENT_MODES}")
-        if self.mode == "backtranslate":
-            if self.pivot_language not in _PIVOTS:
-                raise ValueError(f"backtranslate requires pivot_language in {_PIVOTS}")
-        elif self.pivot_language is not None:
-            raise ValueError("pivot_language only applies to backtranslate")
-
-
-@dataclass(frozen=True)
-class RewriteResponse:
-    request_id: str
-    rewrites: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "rewrites", tuple(self.rewrites))
-
 
 # --- built-in rule table --------------------------------------------------------
 
@@ -113,27 +85,29 @@ def builtin_rewrite(question: str, cfg: PipelineConfig) -> list:
 
 
 def _builtin_responses(batch, cfg: PipelineConfig) -> list:
-    return [RewriteResponse(r.request_id, builtin_rewrite(r.text, cfg)) for r in batch]
+    return [(p.qa_id, builtin_rewrite(p.question, cfg)) for p in batch]
 
 
 # --- rewriter backends ------------------------------------------------------------
 
 
-def _payload(req: RewriteRequest) -> dict:
-    d = {"request_id": req.request_id, "text": req.text, "mode": req.mode}
-    if req.pivot_language is not None:
-        d["pivot_language"] = req.pivot_language
+def _payload(pair: QAPair, cfg: PipelineConfig) -> dict:
+    d = {"request_id": pair.qa_id, "text": pair.question, "mode": cfg.augment_mode}
+    if cfg.pivot_language:
+        d["pivot_language"] = cfg.pivot_language
     return d
 
 
-def _parse_response(d) -> RewriteResponse:
-    try:
-        return RewriteResponse(
-            request_id=str(d["request_id"]),
-            rewrites=[str(x) for x in d.get("rewrites", [])],
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise RewriterUnavailable(f"malformed rewriter response: {exc}") from exc
+def _parse_response(d) -> tuple:
+    """(request_id, rewrites) of a wire response, which must hold a string
+    request_id and a list of string rewrites; anything else raises
+    RewriterUnavailable. The run keeps the pair, not the parsed dict, which
+    with its own copies of the key strings costs about three times as much."""
+    if not (isinstance(d, dict) and isinstance(d.get("request_id"), str)
+            and isinstance(d.get("rewrites"), list)
+            and all(isinstance(r, str) for r in d["rewrites"])):
+        raise RewriterUnavailable(f"malformed rewriter response: {str(d)[:200]}")
+    return d["request_id"], d["rewrites"]
 
 
 def _subprocess_backend(argv, batches, cfg) -> list:
@@ -147,7 +121,7 @@ def _subprocess_backend(argv, batches, cfg) -> list:
     had not answered in full, and a line it did not finish counts as no
     response.
     """
-    payload = "".join(json.dumps(_payload(r)) + "\n" for batch in batches for r in batch)
+    payload = "".join(json.dumps(_payload(p, cfg)) + "\n" for batch in batches for p in batch)
     failure = None
     try:
         proc = subprocess.run(argv, input=payload.encode("utf-8"), capture_output=True,
@@ -174,7 +148,7 @@ def _subprocess_backend(argv, batches, cfg) -> list:
     if failure is None:
         return got
     return [
-        answers if {r.request_id for r in batch} <= {a.request_id for a in answers}
+        answers if {p.qa_id for p in batch} <= {i for i, _ in answers}
         else failure
         for batch, answers in zip(batches, got)
     ]
@@ -186,7 +160,7 @@ def _assign(lines, batches) -> list:
     A line that is not a response, or an id that no request of the run
     carries, cannot be put in a batch, so it raises RewriterUnavailable.
     """
-    owner = {r.request_id: i for i, batch in enumerate(batches) for r in batch}
+    owner = {p.qa_id: i for i, batch in enumerate(batches) for p in batch}
     got = [[] for _ in batches]
     stray = set()
     for line in lines:
@@ -196,10 +170,10 @@ def _assign(lines, batches) -> list:
             resp = _parse_response(json.loads(line))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise RewriterUnavailable(f"rewriter wrote invalid JSON: {exc}") from exc
-        if resp.request_id in owner:
-            got[owner[resp.request_id]].append(resp)
+        if resp[0] in owner:
+            got[owner[resp[0]]].append(resp)
         else:
-            stray.add(resp.request_id)
+            stray.add(resp[0])
     if stray:
         raise RewriterUnavailable(
             f"rewriter answered ids no request of the run carries: {sorted(stray)[:5]}"
@@ -215,9 +189,9 @@ def _http_backend(url, cfg, stack: ExitStack):
 
     def backend(batch):
         responses = []
-        for req in batch:
+        for pair in batch:
             try:
-                resp = session.post(url, json=_payload(req), timeout=cfg.timeout_s)
+                resp = session.post(url, json=_payload(pair, cfg), timeout=cfg.timeout_s)
                 resp.raise_for_status()
                 d = resp.json()
             except (requests.RequestException, ValueError) as exc:
@@ -242,18 +216,20 @@ def _each_batch(backend):
 
 def _resolve_backend(rewriter, cfg, stack: ExitStack):
     """A function from the run's batches to an iterable of per-batch results:
-    a batch's responses, or the RewriterUnavailable that fails it."""
+    a batch's (request_id, rewrites) pairs, or the RewriterUnavailable that
+    fails it.
+
+    `rewriter` is None or a string that PipelineConfig accepts, or an
+    in-process callable from a list of wire requests to wire responses.
+    """
     if rewriter is None or rewriter == "builtin":
         return _each_batch(lambda batch: _builtin_responses(batch, cfg))
     if callable(rewriter):
-        return _each_batch(rewriter)
-    if isinstance(rewriter, str) and rewriter.startswith(("http://", "https://")):
+        return _each_batch(lambda batch: [
+            _parse_response(d) for d in rewriter([_payload(p, cfg) for p in batch])])
+    if rewriter.startswith(("http://", "https://")):
         return _each_batch(_http_backend(rewriter, cfg, stack))
-    if isinstance(rewriter, str):
-        return lambda batches: _subprocess_backend(shlex.split(rewriter), batches, cfg)
-    if isinstance(rewriter, (list, tuple)):
-        return lambda batches: _subprocess_backend(list(rewriter), batches, cfg)
-    raise MalformedInput(f"unusable rewriter specification: {rewriter!r}")
+    return lambda batches: _subprocess_backend(shlex.split(rewriter), batches, cfg)
 
 
 # --- augmentation -----------------------------------------------------------------
@@ -274,9 +250,9 @@ def _mentions(text: str, answer: str) -> bool:
 
 
 def _check_ids(batch, got) -> None:
-    """A batch's responses must answer each of its requests exactly once."""
-    asked = Counter(r.request_id for r in batch)
-    answered = Counter(resp.request_id for resp in got)
+    """A batch's responses must answer each of its pairs exactly once."""
+    asked = Counter(p.qa_id for p in batch)
+    answered = Counter(i for i, _ in got)
     if answered != asked:
         missing = sorted(asked - answered)
         extra = sorted(answered - asked)
@@ -294,8 +270,7 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
     exactly its request ids counts as an unavailable rewriter. A rewrite whose
     derived qa_id is already an input qa_id is the variant an earlier run
     wrote: it keeps its ordinal and is not written again. Repeated input
-    qa_ids raise MalformedInput, and a mode/pivot pair that RewriteRequest
-    rejects raises ValueError, both before any rewriter call.
+    qa_ids and empty questions raise MalformedInput before any rewriter call.
     """
     pairs = list(pairs)
     if not pairs:
@@ -305,18 +280,15 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
     repeated = sorted(i for i, n in input_ids.items() if n > 1)
     if repeated:
         raise MalformedInput(f"repeated qa_id(s) in augment input: {repeated[:5]}")
+    empty = [p.qa_id for p in pairs if not p.question]
+    if empty:
+        raise MalformedInput(f"empty question in augment input: {empty[:5]}")
     mode = cfg.augment_mode
-    pivot = cfg.pivot_language or None
-    responses = {}
+    rewrites = {}
     with ExitStack() as stack:
         backend = _resolve_backend(rewriter, cfg, stack)
-        reqs = [
-            RewriteRequest(request_id=p.qa_id, text=p.question, mode=mode,
-                           pivot_language=pivot)
-            for p in pairs
-        ]
-        batches = [reqs[start:start + cfg.batch_size]
-                   for start in range(0, len(reqs), cfg.batch_size)]
+        batches = [pairs[start:start + cfg.batch_size]
+                   for start in range(0, len(pairs), cfg.batch_size)]
         for batch, got in zip(batches, backend(batches)):
             try:
                 if isinstance(got, RewriterUnavailable):
@@ -326,18 +298,16 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
                 if not cfg.fallback:
                     raise
                 got = _builtin_responses(batch, cfg)
-            for resp in got:
-                responses[resp.request_id] = resp
+            rewrites.update(got)
 
     out = []
     for pair in pairs:
         out.append(pair)
-        resp = responses[pair.qa_id]
         rng = stream(cfg.seed, pair.qa_id, "augment-keep")
         base_mention = _mentions(pair.question, pair.answer)
         seen = {lower_squeeze(pair.question)}
         ordinal = 0
-        for rewrite in resp.rewrites:
+        for rewrite in rewrites[pair.qa_id]:
             if ordinal >= cfg.max_variants:
                 break
             norm = lower_squeeze(rewrite)

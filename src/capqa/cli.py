@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import os
-import re
 import sys
 
 from . import files
@@ -26,6 +25,7 @@ from .config import (
     NEGATIVE_MODES,
     PRETRAIN_TASKS,
     PipelineConfig,
+    _DIMS_RE,
     load_config,
     require_file,
     resolve,
@@ -227,10 +227,7 @@ def _cmd_generate(args) -> int:
 def _cmd_augment(args) -> int:
     cfg = _effective_config(args)
     pairs = list(read_jsonl(require_file(args.input, "--in")))
-    try:
-        out_pairs = augment_batch(pairs, cfg.rewriter or None, cfg)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+    out_pairs = augment_batch(pairs, cfg.rewriter or None, cfg)
     lex = _lexicons(cfg)
 
     def rows():
@@ -282,20 +279,12 @@ def _cmd_vocab(args) -> int:
     return 0
 
 
-_DIMS_RE = re.compile(r"(\d+)x(\d+)")
-
-
 def _cmd_patches(args) -> int:
     cfg = _effective_config(args)
     corpus = load_coco(require_file(cfg.captions, "--captions"))
     default_dims = None
     if cfg.default_dims:
-        m = _DIMS_RE.fullmatch(cfg.default_dims)
-        if not m:
-            raise MalformedInput(
-                f"default_dims must look like 640x480, got {cfg.default_dims!r}"
-            )
-        default_dims = (int(m.group(1)), int(m.group(2)))
+        default_dims = tuple(map(int, cfg.default_dims.split("x")))
     missing = [
         rec.image_id
         for rec in corpus.records
@@ -334,7 +323,7 @@ def _cmd_pretrain(args) -> int:
         if "mqa" in cfg.tasks:
             qa_path = require_file(args.qa or "", "--qa (needed for the mqa task)")
             for qa in read_jsonl(qa_path):
-                yield mqa_mask(qa, cfg.seed)
+                yield mqa_mask(qa)
         if "itm" in cfg.tasks:
             index, _ = object_lemma_index(corpus.records, _lexicons(cfg))
             short_images = missing = 0

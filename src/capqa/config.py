@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
+import shlex
 from dataclasses import dataclass, fields
 
 from . import files
@@ -18,6 +20,9 @@ GENERATORS = ("yesno", "object", "number", "color", "location", "srl")
 PRETRAIN_TASKS = ("mlm", "mqa", "itm")
 NEGATIVE_MODES = ("auto", "negation", "adversarial")
 AUGMENT_MODES = ("paraphrase", "backtranslate")
+PIVOT_LANGUAGES = ("fr", "de", "es")
+
+_DIMS_RE = re.compile(r"(\d+)x(\d+)")
 
 _DEFAULT_PREFIXES = ("is there", "is this", "is the", "are there")
 
@@ -85,6 +90,15 @@ class PipelineConfig:
             raise MalformedInput("vocab_limit must be at least 1")
         if self.augment_mode not in AUGMENT_MODES:
             raise MalformedInput(f"augment_mode must be one of {AUGMENT_MODES}")
+        if self.augment_mode == "backtranslate":
+            if self.pivot_language not in PIVOT_LANGUAGES:
+                raise MalformedInput(
+                    f"pivot_language must be one of {PIVOT_LANGUAGES} with augment_mode "
+                    f"'backtranslate', got {self.pivot_language!r}")
+        elif self.pivot_language:
+            raise MalformedInput("pivot_language applies only to augment_mode "
+                                 f"'backtranslate', got {self.pivot_language!r}")
+        _check_rewriter(self.rewriter)
         if self.max_variants < 0:
             raise MalformedInput("max_variants must be non-negative")
         if not 0.0 <= self.keep_probability <= 1.0:
@@ -99,6 +113,26 @@ class PipelineConfig:
             raise MalformedInput("neg_ratio must be non-negative")
         if self.questions_per_image_per_epoch < 1:
             raise MalformedInput("questions_per_image_per_epoch must be at least 1")
+        lv = self.levels
+        if not lv or lv[0] < 1 or any(b <= a for a, b in zip(lv, lv[1:])):
+            raise MalformedInput("levels must be a non-empty, strictly ascending list "
+                                 f"of integers at least 1, got {list(lv)}")
+        m = _DIMS_RE.fullmatch(self.default_dims)
+        if self.default_dims and not (m and int(m[1]) > 0 and int(m[2]) > 0):
+            raise MalformedInput("default_dims must be empty or WIDTHxHEIGHT with positive "
+                                 f"integers, e.g. 640x480, got {self.default_dims!r}")
+
+
+def _check_rewriter(rewriter: str) -> None:
+    """'', 'builtin', an http(s) URL, or a command line of at least one word."""
+    if rewriter in ("", "builtin") or rewriter.startswith(("http://", "https://")):
+        return
+    try:
+        words = shlex.split(rewriter)
+    except ValueError as exc:
+        raise MalformedInput(f"rewriter command {rewriter!r} cannot be split: {exc}") from None
+    if not words:
+        raise MalformedInput(f"rewriter must be 'builtin', a URL or a command, got {rewriter!r}")
 
 
 def _fits(value, kind) -> bool:

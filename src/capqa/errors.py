@@ -40,6 +40,3 @@ class EmptyStream(CapqaError):
 class BadDims(CapqaError):
     """Image dimensions missing or non-positive."""
 
-
-class BadLevels(CapqaError):
-    """Pyramid level list is empty, non-ascending, or contains k < 1."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import files
-from .errors import BadDims, BadLevels
+from .errors import BadDims
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,10 @@ def _axis_bounds(size: int, k: int):
 
 
 def pyramid(image_id: int, width: int, height: int, levels) -> PatchSpec:
+    """Every level's patches; `levels` as PipelineConfig checks them."""
     if not isinstance(width, int) or not isinstance(height, int) or width <= 0 or height <= 0:
         raise BadDims(f"image {image_id}: {width}x{height}")
     lv = tuple(levels)
-    if not lv:
-        raise BadLevels("no levels given")
-    for k in lv:
-        if not isinstance(k, int) or k < 1:
-            raise BadLevels(f"level {k!r} is not a positive integer")
-    if any(b <= a for a, b in zip(lv, lv[1:])):
-        raise BadLevels(f"levels {lv} are not strictly ascending")
     # below this, rounded grid steps can collapse to zero-width windows
     if 2 * width <= lv[-1] + 1 or 2 * height <= lv[-1] + 1:
         raise BadDims(f"image {image_id}: {width}x{height} too small for level {lv[-1]}")

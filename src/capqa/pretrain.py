@@ -56,7 +56,7 @@ def mlm_mask(caption: str, seed, *, image_id: int = 0, caption_index: int = 0) -
     )
 
 
-def mqa_mask(qa: QAPair, seed=0) -> PretrainSample:
+def mqa_mask(qa: QAPair) -> PretrainSample:
     """Append one mask per answer word after the question tokens."""
     answer_tokens = qa.answer.split()
     if not answer_tokens:
@@ -82,8 +82,6 @@ def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> t
     Returns (samples, shortfall): when the disjoint pool runs dry it emits
     fewer mismatches than requested, and shortfall counts the missing ones.
     """
-    if neg_ratio < 0:
-        raise MalformedInput("neg_ratio must be non-negative")
     samples = []
     for idx, caption in enumerate(record.captions):
         samples.append(

@@ -227,7 +227,7 @@ def test_criterion_4_masking_laws():
                 " ".join(f"a{j}" for j in range(answer_len)),
                 "phrase", "srl", caption,
             )
-            masked = mqa_mask(qa, i)
+            masked = mqa_mask(qa)
             assert masked.text.count("[MASK]") == answer_len
         assert time.perf_counter() - start < 1.0
 

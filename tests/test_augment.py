@@ -3,17 +3,13 @@
 import http.server
 import json
 import os
+import shlex
 import sys
 import threading
 
 import pytest
 
-from capqa.augment import (
-    RewriteRequest,
-    RewriteResponse,
-    augment_batch,
-    builtin_rewrite,
-)
+from capqa.augment import augment_batch, builtin_rewrite
 from capqa.config import PipelineConfig
 from capqa.errors import MalformedInput, RewriterUnavailable
 from capqa.qa import QAPair
@@ -75,22 +71,24 @@ def test_builtin_backtranslation_golden():
 
 
 def test_request_requires_pivot_iff_backtranslate():
-    RewriteRequest(request_id="r1", text="Is there a dog?", mode="paraphrase")
-    RewriteRequest(
-        request_id="r2", text="Is there a dog?", mode="backtranslate", pivot_language="fr"
-    )
-    with pytest.raises(ValueError):
-        RewriteRequest(request_id="r3", text="Is there a dog?", mode="backtranslate")
-    with pytest.raises(ValueError):
-        RewriteRequest(
-            request_id="r4", text="Is there a dog?", mode="paraphrase", pivot_language="es"
-        )
-    with pytest.raises(ValueError):
-        RewriteRequest(request_id="r5", text="", mode="paraphrase")
-    with pytest.raises(ValueError):
-        RewriteRequest(
-            request_id="r6", text="x?", mode="backtranslate", pivot_language="xx"
-        )
+    requests = []
+
+    def recorder(batch):
+        requests.extend(batch)
+        return [{"request_id": r["request_id"], "rewrites": []} for r in batch]
+
+    pair = make_pair("Is there a dog?", "yes", qa_id="r1")
+    augment_batch([pair], recorder, PipelineConfig(augment_mode="paraphrase"))
+    augment_batch([pair], recorder,
+                  PipelineConfig(augment_mode="backtranslate", pivot_language="fr"))
+    assert requests == [
+        {"request_id": "r1", "text": "Is there a dog?", "mode": "paraphrase"},
+        {"request_id": "r1", "text": "Is there a dog?", "mode": "backtranslate",
+         "pivot_language": "fr"},
+    ]
+    with pytest.raises(MalformedInput, match="empty question"):
+        augment_batch([make_pair("", "yes", qa_id="r5")], recorder, PARA)
+    assert len(requests) == 2
 
 
 def test_config_validation():
@@ -112,9 +110,10 @@ def test_config_validation():
     ("paraphrase", "es"),
 ])
 def test_batch_rejects_mode_pivot_mismatch(mode, pivot):
-    cfg = PipelineConfig(augment_mode=mode, pivot_language=pivot)
-    with pytest.raises(ValueError, match="pivot_language"):
-        augment_batch([make_pair("Is there a dog?", "yes")], "builtin", cfg)
+    # the config a batch would run under cannot be built
+    with pytest.raises(MalformedInput, match="pivot_language"):
+        augment_batch([make_pair("Is there a dog?", "yes")], "builtin",
+                      PipelineConfig(augment_mode=mode, pivot_language=pivot))
 
 
 # --- augment_batch with the builtin rewriter -------------------------------------
@@ -159,7 +158,7 @@ def test_batch_rejects_repeated_qa_ids_before_any_rewrite():
 
     def rewriter(batch):
         calls.append(batch)
-        return [RewriteResponse(r.request_id, (r.text,)) for r in batch]
+        return [{"request_id": r["request_id"], "rewrites": [r["text"]]} for r in batch]
 
     with pytest.raises(MalformedInput, match="'same'"):
         augment_batch(pairs, rewriter, PARA)
@@ -200,7 +199,7 @@ def test_rerun_keeps_the_variants_already_present():
 
 def respond_with(texts):
     def rewriter(batch):
-        return [RewriteResponse(request_id=r.request_id, rewrites=list(texts)) for r in batch]
+        return [{"request_id": r["request_id"], "rewrites": list(texts)} for r in batch]
     return rewriter
 
 
@@ -259,7 +258,7 @@ def test_subprocess_rewriter(tmp_path):
     script = tmp_path / "rewriter.py"
     script.write_text(STUB, encoding="utf-8")
     pair = make_pair("Is there a dog?", "yes")
-    out = augment_batch([pair], [sys.executable, str(script)], PARA)
+    out = augment_batch([pair], shlex.join([sys.executable, str(script)]), PARA)
     assert [p.question for p in out] == ["Is there a dog?", "Can you see a dog?"]
     assert out[1].source == "paraphrase"
 
@@ -267,13 +266,13 @@ def test_subprocess_rewriter(tmp_path):
 def test_subprocess_missing_binary_is_fatal():
     pair = make_pair("Is there a dog?", "yes")
     with pytest.raises(RewriterUnavailable):
-        augment_batch([pair], ["/nonexistent/rewriter-binary"], PARA)
+        augment_batch([pair], "/nonexistent/rewriter-binary", PARA)
 
 
 def test_subprocess_failure_falls_back_to_builtin():
     cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, fallback=True)
     pair = make_pair("Is there a dog?", "yes")
-    out = augment_batch([pair], ["/nonexistent/rewriter-binary"], cfg)
+    out = augment_batch([pair], "/nonexistent/rewriter-binary", cfg)
     assert "Can you see a dog?" in {p.question for p in out}
 
 
@@ -282,7 +281,7 @@ def test_subprocess_garbage_output_is_unavailable(tmp_path):
     script.write_text("print('not json')\n", encoding="utf-8")
     pair = make_pair("Is there a dog?", "yes")
     with pytest.raises(RewriterUnavailable):
-        augment_batch([pair], [sys.executable, str(script)], PARA)
+        augment_batch([pair], shlex.join([sys.executable, str(script)]), PARA)
 
 
 def test_subprocess_undecodable_output_is_unavailable(tmp_path):
@@ -290,7 +289,7 @@ def test_subprocess_undecodable_output_is_unavailable(tmp_path):
     script.write_text("import sys\nsys.stdout.buffer.write(b'\\xff\\n')\n", encoding="utf-8")
     pair = make_pair("Is there a dog?", "yes")
     with pytest.raises(RewriterUnavailable, match="invalid JSON"):
-        augment_batch([pair], [sys.executable, str(script)], PARA)
+        augment_batch([pair], shlex.join([sys.executable, str(script)]), PARA)
 
 
 # --- HTTP rewriter ------------------------------------------------------------------
@@ -366,25 +365,37 @@ def test_http_unreachable_with_fallback(tmp_path):
 ID_REWRITE = "Is a dog visible here?"  # not among the builtin rewrites
 
 
-def answer_ids(*ids):
-    """A rewriter that ignores the request ids and answers `ids` instead."""
+def answer_with(responses):
+    """A rewriter that ignores its requests and answers `responses` instead."""
     def rewriter(batch):
-        return [RewriteResponse(request_id=i, rewrites=[ID_REWRITE]) for i in ids]
+        return responses
     return rewriter
 
 
+def answer_ids(*ids):
+    return [{"request_id": i, "rewrites": [ID_REWRITE]} for i in ids]
+
+
 ID_CASES = {
-    "stray": ("a", "b", "zz"),
-    "missing": ("a",),
-    "duplicate": ("a", "b", "b"),
+    "stray": answer_ids("a", "b", "zz"),
+    "missing": answer_ids("a"),
+    "duplicate": answer_ids("a", "b", "b"),
 }
 
-ID_SCRIPT = """\
+# responses whose types are wrong, each beside a well-formed answer for "b"
+MALFORMED_CASES = {
+    "null_and_number_rewrites": [{"request_id": "a", "rewrites": [None, 7, ID_REWRITE]}],
+    "string_rewrites": [{"request_id": "a", "rewrites": "abc"}],
+    "number_id": [{"request_id": 1, "rewrites": [ID_REWRITE]}],
+    "no_rewrites": [{"request_id": "a"}],
+    "not_an_object": [["a", ID_REWRITE]],
+}
+
+RESPONSE_SCRIPT = """\
 import json, sys
 reqs = [json.loads(line) for line in sys.stdin if line.strip()]
-ids = {ids!r}
-for i in ids:
-    print(json.dumps({{"request_id": i, "rewrites": [{rewrite!r}]}}))
+for response in {responses!r}:
+    print(json.dumps(response))
 """
 
 
@@ -397,13 +408,13 @@ def two_pairs():
 
 @pytest.fixture(params=["callable", "subprocess"])
 def id_rewriter(request, tmp_path):
-    def make(ids):
+    """Makes a rewriter, in process or a child, that answers `responses`."""
+    def make(responses):
         if request.param == "callable":
-            return answer_ids(*ids)
-        script = tmp_path / "ids.py"
-        script.write_text(ID_SCRIPT.format(ids=list(ids), rewrite=ID_REWRITE),
-                          encoding="utf-8")
-        return [sys.executable, str(script)]
+            return answer_with(responses)
+        script = tmp_path / "responses.py"
+        script.write_text(RESPONSE_SCRIPT.format(responses=responses), encoding="utf-8")
+        return shlex.join([sys.executable, str(script)])
     return make
 
 
@@ -422,8 +433,24 @@ def test_mismatched_response_ids_fall_back_to_builtin(id_rewriter, case):
     assert ID_REWRITE not in {p.question for p in out}
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_malformed_responses_are_unavailable(id_rewriter, case):
+    responses = MALFORMED_CASES[case] + answer_ids("b")
+    with pytest.raises(RewriterUnavailable, match="malformed rewriter response"):
+        augment_batch(two_pairs(), id_rewriter(responses), PARA)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_malformed_responses_fall_back_to_builtin(id_rewriter, case):
+    cfg = PipelineConfig(augment_mode="paraphrase", max_variants=4, fallback=True)
+    pairs = two_pairs()
+    out = augment_batch(pairs, id_rewriter(MALFORMED_CASES[case] + answer_ids("b")), cfg)
+    assert out == augment_batch(pairs, "builtin", cfg)
+    assert not {"None", "7", "a", "b", "c", ID_REWRITE} & {p.question for p in out}
+
+
 def test_matching_response_ids_in_any_order_accepted(id_rewriter):
-    out = augment_batch(two_pairs(), id_rewriter(("b", "a")), PARA)
+    out = augment_batch(two_pairs(), id_rewriter(answer_ids("b", "a")), PARA)
     assert [(p.parent_id, p.question) for p in out[1::2]] == [("a", ID_REWRITE),
                                                               ("b", ID_REWRITE)]
 
@@ -436,11 +463,11 @@ def numbered_pairs(n=3):
 
 
 def run_script(tmp_path, source, **fields):
-    """[python, script] for a fake rewriter; `fields` are substituted into `source`."""
+    """The command line of a fake rewriter; `fields` are substituted into `source`."""
     script = tmp_path / "fake_rewriter.py"
     script.write_text(source.format(**{k: repr(v) for k, v in fields.items()}),
                       encoding="utf-8")
-    return [sys.executable, str(script)]
+    return shlex.join([sys.executable, str(script)])
 
 
 # writes its pid, answers every request in reverse order with no flush per
@@ -466,7 +493,8 @@ def test_subprocess_rewriter_spawned_once_per_run(tmp_path):
 
     def in_process(batch):
         calls.append(batch)
-        return [RewriteResponse(r.request_id, ["Now, " + r.text]) for r in batch]
+        return [{"request_id": r["request_id"], "rewrites": ["Now, " + r["text"]]}
+                for r in batch]
 
     assert out == augment_batch(pairs, in_process, cfg)
     assert len(calls) == 5

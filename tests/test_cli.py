@@ -115,6 +115,30 @@ class TestConfig:
         with pytest.raises(MalformedInput):
             resolve(None, {})
 
+    def test_bad_levels(self):
+        for levels in ([], [3, 1], [1, 1], [0, 3]):
+            with pytest.raises(MalformedInput, match="levels"):
+                PipelineConfig(levels=levels)
+
+    def test_negative_neg_ratio_rejected(self):
+        with pytest.raises(MalformedInput, match="neg_ratio"):
+            PipelineConfig(neg_ratio=-1.0)
+
+    def test_default_dims_rule(self):
+        for dims in ("", "640x480", "1x1"):
+            assert PipelineConfig(default_dims=dims).default_dims == dims
+        for dims in ("640by480", "640x", "0x480", "640x0", " 640x480"):
+            with pytest.raises(MalformedInput, match="default_dims"):
+                PipelineConfig(default_dims=dims)
+
+    def test_rewriter_rule(self):
+        for rewriter in ("", "builtin", "http://127.0.0.1:9/rewrite", "https://x",
+                         "python3 'my rewriter.py' --fast"):
+            assert PipelineConfig(rewriter=rewriter).rewriter == rewriter
+        for rewriter in (" ", "\t\n", 'python "x', "http:/x 'y"):
+            with pytest.raises(MalformedInput, match="rewriter"):
+                PipelineConfig(rewriter=rewriter)
+
     def test_require_file(self, tmp_path):
         with pytest.raises(MalformedInput, match="--vectors"):
             require_file("", "--vectors")
@@ -804,6 +828,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert setting.partition("=")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, extra", [
+        ("patches", "levels", ["--set", "levels=[3,1]"]),
+        ("patches", "default_dims", ["--set", "default_dims=640by480"]),
+        ("augment", "pivot_language", ["--set", "pivot_language=xx"]),
+        ("augment", "rewriter", ["--set", 'rewriter=" "']),
+        ("augment", "rewriter", ["--rewriter", " "]),
+        ("augment", "rewriter", ["--rewriter", 'python "x']),
+    ], ids=["levels", "default_dims", "pivot_language", "rewriter", "blank_rewriter_flag",
+            "unsplittable_rewriter_flag"])
+    def test_bad_value_fails_before_any_input_is_read(self, tmp_path, capsys, command,
+                                                      field, extra):
+        missing = str(tmp_path / "missing.json")
+        source = {"patches": "--captions", "augment": "--in"}[command]
+        out = tmp_path / "x.jsonl"
+        assert main([command, source, missing, "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and missing not in err
         assert not out.exists()
 
     def test_wrong_type_config_value_exit_1(self, demo_coco, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capqa.config import PipelineConfig
-from capqa.errors import BadDims, BadLevels
+from capqa.errors import BadDims
 from capqa.patches import pyramid, write_manifest
 
 
@@ -41,17 +41,6 @@ def test_bad_dims():
         pyramid(1, 0, 100, levels=[1])
     with pytest.raises(BadDims):
         pyramid(1, 100, -5, levels=[1])
-
-
-def test_bad_levels():
-    with pytest.raises(BadLevels):
-        pyramid(1, 100, 100, levels=[])
-    with pytest.raises(BadLevels):
-        pyramid(1, 100, 100, levels=[3, 1])
-    with pytest.raises(BadLevels):
-        pyramid(1, 100, 100, levels=[1, 1])
-    with pytest.raises(BadLevels):
-        pyramid(1, 100, 100, levels=[0, 3])
 
 
 def per_axis_segments(spec, level, axis):

@@ -110,7 +110,7 @@ def make_pair(question, answer, qa_id="qa-1", image_id=42):
 class TestMqaMask:
     def test_golden_two_token_answer(self):
         pair = make_pair("When is someone competing?", "at night")
-        sample = mqa_mask(pair, 0)
+        sample = mqa_mask(pair)
         assert " ".join(sample.text) == "When is someone competing? [MASK] [MASK]"
         assert sample.targets == {4: "at", 5: "night"}
         assert sample.task == "mqa"
@@ -225,10 +225,6 @@ class TestItmPairs:
         record = itm_corpus.records[0]
         samples, _ = itm_pairs(record, itm_corpus, itm_index, neg_ratio=1.0, seed=0)
         assert all(s.image_id == 1 for s in samples)
-
-    def test_negative_ratio_rejected(self, itm_corpus, itm_index):
-        with pytest.raises(MalformedInput):
-            itm_pairs(itm_corpus.records[0], itm_corpus, itm_index, neg_ratio=-1.0)
 
 
 # --- serialization -----------------------------------------------------------
