@@ -437,8 +437,8 @@ def _parse_overrides(args) -> dict:
 
 
 def _effective_config(args) -> PipelineConfig:
-    file_cfg = load_config(args.config) if args.config else None
-    return resolve(file_cfg, _parse_overrides(args))
+    file_values = load_config(args.config) if args.config else None
+    return resolve(file_values, _parse_overrides(args))
 
 
 def _add_common(sub) -> None:

@@ -7,7 +7,6 @@ command-line flags.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import shlex
@@ -22,7 +21,7 @@ NEGATIVE_MODES = ("auto", "negation", "adversarial")
 AUGMENT_MODES = ("paraphrase", "backtranslate")
 PIVOT_LANGUAGES = ("fr", "de", "es")
 
-_DIMS_RE = re.compile(r"(\d+)x(\d+)")
+_DIMS_RE = re.compile(r"(\d+)x(\d+)", re.ASCII)
 
 _DEFAULT_PREFIXES = ("is there", "is this", "is the", "are there")
 
@@ -60,18 +59,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, tuple):
-                kind = type(f.default[0])
-                if not isinstance(value, (list, tuple)) or not all(
-                        _fits(v, kind) for v in value):
-                    raise MalformedInput(f"bad config value: {f.name} must be a list "
-                                         f"of {kind.__name__}, got {value!r}")
-                setattr(self, f.name, tuple(value))
-            elif not _fits(value, type(f.default)):
-                raise MalformedInput(
-                    f"bad config value: {f.name} must be "
-                    f"{type(f.default).__name__}, got {value!r}")
+            setattr(self, f.name, _typed(f, getattr(self, f.name)))
         for gen in self.generators:
             if gen not in GENERATORS:
                 raise MalformedInput(f"unknown generator {gen!r}; choose from {GENERATORS}")
@@ -135,6 +123,21 @@ def _check_rewriter(rewriter: str) -> None:
         raise MalformedInput(f"rewriter must be 'builtin', a URL or a command, got {rewriter!r}")
 
 
+def _typed(f, value):
+    """`value` if it has the type of field `f`'s default; a list field's value
+    as a tuple."""
+    if isinstance(f.default, tuple):
+        kind = type(f.default[0])
+        if not isinstance(value, (list, tuple)) or not all(_fits(v, kind) for v in value):
+            raise MalformedInput(f"bad config value: {f.name} must be a list "
+                                 f"of {kind.__name__}, got {value!r}")
+        return tuple(value)
+    if not _fits(value, type(f.default)):
+        raise MalformedInput(
+            f"bad config value: {f.name} must be {type(f.default).__name__}, got {value!r}")
+    return value
+
+
 def _fits(value, kind) -> bool:
     """`value` can stand for a field whose default is a `kind`: a bool only
     for a bool, and an int for a float."""
@@ -143,27 +146,30 @@ def _fits(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-FIELD_NAMES = tuple(f.name for f in fields(PipelineConfig))
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+FIELD_NAMES = tuple(_FIELDS)
 
 
-def load_config(path) -> PipelineConfig:
-    """Read a UTF-8 JSON object into a PipelineConfig; unknown keys fail."""
+def load_config(path) -> dict:
+    """Read a UTF-8 JSON object of config values; unknown keys and values of
+    the wrong type fail. The rules on values are judged by resolve(), on the
+    complete config, since a flag may complete or replace a file's values."""
     return files.read_json(path, _config_from)
 
 
-def _config_from(doc) -> PipelineConfig:
+def _config_from(doc) -> dict:
     if not isinstance(doc, dict):
         raise MalformedInput("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(FIELD_NAMES))
     if unknown:
         raise MalformedInput(f"unknown config keys: {', '.join(unknown)}")
-    return PipelineConfig(**doc)
+    return {key: _typed(_FIELDS[key], value) for key, value in doc.items()}
 
 
-def resolve(file_config: PipelineConfig = None, overrides: dict = None) -> PipelineConfig:
-    """Layer CAPQA_SEED and explicit flag overrides onto a base config."""
-    base = file_config if file_config is not None else PipelineConfig()
-    values = dataclasses.asdict(base)
+def resolve(file_values: dict = None, overrides: dict = None) -> PipelineConfig:
+    """The config of a run: the defaults, then a config file's values, then
+    CAPQA_SEED, then explicit flag overrides, checked as a whole."""
+    values = dict(file_values or {})
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:

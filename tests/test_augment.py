@@ -110,10 +110,9 @@ def test_config_validation():
     ("paraphrase", "es"),
 ])
 def test_batch_rejects_mode_pivot_mismatch(mode, pivot):
-    # the config a batch would run under cannot be built
+    # no batch can run under such a config: it cannot be built
     with pytest.raises(MalformedInput, match="pivot_language"):
-        augment_batch([make_pair("Is there a dog?", "yes")], "builtin",
-                      PipelineConfig(augment_mode=mode, pivot_language=pivot))
+        PipelineConfig(augment_mode=mode, pivot_language=pivot)
 
 
 # --- augment_batch with the builtin rewriter -------------------------------------

@@ -86,7 +86,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text('{"adversarial_threshold": 2}')
         with pytest.raises(MalformedInput, match="adversarial_threshold"):
+            resolve(load_config(path), {})
+
+    def test_wrong_type_in_config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"levels": "1,3"}')
+        with pytest.raises(MalformedInput) as exc:
             load_config(path)
+        assert str(exc.value).startswith(f"{path}: bad config value: levels")
 
     def test_load_config_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -97,8 +104,7 @@ class TestConfig:
     def test_load_config_values(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"seed": 9, "workers": 2, "levels": [1, 3]}')
-        cfg = load_config(path)
-        assert cfg.seed == 9 and cfg.workers == 2 and cfg.levels == (1, 3)
+        assert load_config(path) == {"seed": 9, "workers": 2, "levels": (1, 3)}
 
     def test_env_overrides_file_seed(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
@@ -127,7 +133,9 @@ class TestConfig:
     def test_default_dims_rule(self):
         for dims in ("", "640x480", "1x1"):
             assert PipelineConfig(default_dims=dims).default_dims == dims
-        for dims in ("640by480", "640x", "0x480", "640x0", " 640x480"):
+        # the last is 640x480 in Arabic-Indic digits
+        for dims in ("640by480", "640x", "0x480", "640x0", " 640x480",
+                     "\u0666\u0664\u0660x\u0664\u0668\u0660"):
             with pytest.raises(MalformedInput, match="default_dims"):
                 PipelineConfig(default_dims=dims)
 
@@ -417,6 +425,22 @@ class TestAugmentCommand:
         assert rc == 1
         assert "pivot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file_values, flags", [
+        ({"augment_mode": "backtranslate"}, ["--pivot-language", "fr"]),
+        ({"pivot_language": "fr"}, ["--mode", "backtranslate"]),
+    ], ids=["mode-in-file", "pivot-in-file"])
+    def test_config_file_and_flags_are_checked_together(self, tmp_path, file_values,
+                                                        flags):
+        src, _ = craft_pairs(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_values))
+        mixed, flagged = tmp_path / "mixed.jsonl", tmp_path / "flagged.jsonl"
+        assert main(["augment", "--in", str(src), "--out", str(mixed),
+                     "--config", str(cfg), *flags]) == 0
+        assert main(["augment", "--in", str(src), "--out", str(flagged),
+                     "--mode", "backtranslate", "--pivot-language", "fr"]) == 0
+        assert mixed.read_bytes() == flagged.read_bytes()
+
     def test_missing_rewriter_binary_exit_1(self, tmp_path, capsys):
         src, _ = craft_pairs(tmp_path)
         out = tmp_path / "x.jsonl"
@@ -581,19 +605,28 @@ class TestPatchesCommand:
         assert first["image_id"] == 6
 
     def test_malformed_default_dims_exit_2(self, demo_coco, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "patches", "--captions", demo_coco,
-                "--out", str(tmp_path / "x.jsonl"),
-                "--default-dims", "640by480",
-            ])
-        assert exc.value.code == 2
+        for dims in ("640by480", "\u0666\u0664\u0660x\u0664\u0668\u0660"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "patches", "--captions", demo_coco,
+                    "--out", str(tmp_path / "x.jsonl"),
+                    "--default-dims", dims,
+                ])
+            assert exc.value.code == 2
 
     def test_levels_override(self, demo_coco, tmp_path):
         out = tmp_path / "patches.jsonl"
         main(["patches", "--captions", demo_coco, "--out", str(out),
               "--levels", "1,2"])
         assert len(out.read_text().splitlines()) == 3 * (1 + 4)
+
+    def test_levels_flag_overrides_a_bad_file_value(self, demo_coco, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"levels": [3, 1]}')
+        out = tmp_path / "patches.jsonl"
+        assert main(["patches", "--captions", demo_coco, "--out", str(out),
+                     "--config", str(cfg), "--levels", "1,3"]) == 0
+        assert len(out.read_text().splitlines()) == 3 * (1 + 9)
 
 
 class TestPretrainCommand:
