@@ -24,7 +24,7 @@ from contextlib import ExitStack
 from .config import PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
 from .lingo import WORD_RE, lower_squeeze, singularize
-from .qa import QAPair, derived_qa_id
+from .qa import QAPair, derive
 from .rng import stream
 
 # --- built-in rule table --------------------------------------------------------
@@ -318,20 +318,8 @@ def augment_batch(pairs, rewriter, cfg: PipelineConfig) -> list:
                 continue
             if rng.random() >= cfg.keep_probability:
                 continue
-            qa_id = derived_qa_id(pair.image_id, pair.qa_id, mode, ordinal)
+            variant = derive(pair, mode, ordinal, rewrite, pair.answer)
             ordinal += 1
-            if qa_id in input_ids:
-                continue  # an earlier run's variant, already in the input
-            out.append(
-                QAPair(
-                    qa_id=qa_id,
-                    image_id=pair.image_id,
-                    question=rewrite,
-                    answer=pair.answer,
-                    answer_type=pair.answer_type,
-                    source=mode,
-                    source_caption=pair.source_caption,
-                    parent_id=pair.qa_id,
-                )
-            )
+            if variant.qa_id not in input_ids:  # else an earlier run's variant, in the input
+                out.append(variant)
     return out

@@ -188,9 +188,11 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_generate(args) -> int:
-    cfg = _effective_config(args)
-    if "srl" in cfg.generators and args.generators and "srl" in args.generators \
-            and not cfg.srl_frames:
+    file_values, overrides = _config_sources(args)
+    cfg = resolve(file_values, overrides)
+    # the default list names srl too, and runs it only when frames are given
+    named = "generators" in file_values or "generators" in overrides
+    if named and "srl" in cfg.generators and not cfg.srl_frames:
         raise MalformedInput("generator 'srl' needs a frame file (--srl-frames)")
     ctx = _Context(cfg)
     records = ctx.corpus.records
@@ -436,9 +438,13 @@ def _parse_overrides(args) -> dict:
     return overrides
 
 
+def _config_sources(args) -> tuple:
+    """The config file's values and the flag overrides, each a dict."""
+    return (load_config(args.config) if args.config else {}), _parse_overrides(args)
+
+
 def _effective_config(args) -> PipelineConfig:
-    file_values = load_config(args.config) if args.config else None
-    return resolve(file_values, _parse_overrides(args))
+    return resolve(*_config_sources(args))
 
 
 def _add_common(sub) -> None:

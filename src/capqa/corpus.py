@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import files
 from .errors import EmptyCorpus, MalformedInput
@@ -30,12 +30,6 @@ class CaptionRecord:
 @dataclass
 class Corpus:
     records: list[CaptionRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[CaptionRecord]:
-        return iter(self.records)
 
 
 def load_coco(path) -> Corpus:

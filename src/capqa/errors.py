@@ -21,10 +21,6 @@ class ZeroVector(CapqaError):
     """Vector has zero norm, similarity undefined."""
 
 
-class Unsupported(CapqaError):
-    """Operation does not apply to this answer type."""
-
-
 class RewriterUnavailable(CapqaError):
     """Configured rewriter endpoint or subprocess cannot be reached."""
 

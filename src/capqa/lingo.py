@@ -1,11 +1,11 @@
 """Rule-based linguistic analysis of captions.
 
 Tokenization, coarse POS tagging, noun-phrase chunking, the small
-transformations question generation needs (auxiliary stripping,
-detokenization), and the per-image head-lemma index. Tagging is
-closed-lexicon plus suffix heuristics with NOUN as the default for unknown
-content words; captions are simple declaratives, so this deliberately trades
-coverage for determinism and zero model dependencies.
+transformations question generation needs (auxiliary stripping, word
+joining), and the per-image head-lemma index. Tagging is closed-lexicon
+plus suffix heuristics with NOUN as the default for unknown content words;
+captions are simple declaratives, so this deliberately trades coverage for
+determinism and zero model dependencies.
 """
 
 from __future__ import annotations
@@ -72,12 +72,11 @@ class NounPhrase(NamedTuple):
 
 @dataclass(frozen=True, eq=True)
 class Lexicons:
-    """Word lists driving analysis; colors/locations/antonyms/number words
-    can be overridden by a user-supplied JSON file."""
+    """Word lists driving analysis; colors/locations/number words can be
+    overridden by a user-supplied JSON file."""
 
     colors: frozenset
     locations: frozenset
-    antonyms: dict
     number_words: dict
     stop_aux: frozenset
     persons: frozenset
@@ -100,8 +99,8 @@ class Lexicons:
         """Default lexicons with entries from a JSON override file merged in.
 
         The file may carry any of the keys `colors`, `locations` (lists) and
-        `antonyms`, `number_words` (objects); values extend (not replace) the
-        embedded lists.
+        `number_words` (an object); values extend (not replace) the embedded
+        lists. Other keys are ignored.
         """
         return files.read_json(path, _merged_lexicons)
 
@@ -110,7 +109,6 @@ def _merged_lexicons(data) -> Lexicons:
     if not isinstance(data, dict):
         raise MalformedInput("lexicon file must hold a JSON object")
     for key, kind, name in (("colors", list, "a list"), ("locations", list, "a list"),
-                            ("antonyms", dict, "an object"),
                             ("number_words", dict, "an object")):
         value = data.get(key, kind())
         if not isinstance(value, kind):
@@ -121,15 +119,12 @@ def _merged_lexicons(data) -> Lexicons:
     base = Lexicons.default()
     colors = base.colors | {w.lower() for w in data.get("colors", [])}
     locations = base.locations | {w.lower() for w in data.get("locations", [])}
-    antonyms = dict(base.antonyms)
-    antonyms.update({k.lower(): v.lower() for k, v in data.get("antonyms", {}).items()})
     number_words = dict(base.number_words)
     number_words.update({k.lower(): v for k, v in data.get("number_words", {}).items()})
     return replace(
         base,
         colors=colors,
         locations=locations,
-        antonyms=antonyms,
         number_words=number_words,
     )
 
@@ -139,7 +134,6 @@ def _default_lexicons() -> Lexicons:
     return Lexicons(
         colors=wl.COLORS,
         locations=wl.LOCATIONS,
-        antonyms=dict(wl.ANTONYMS),
         number_words=dict(wl.NUMBER_WORDS),
         stop_aux=wl.STOP_AUX,
         persons=wl.PERSON_WORDS,
@@ -322,17 +316,17 @@ def strip_aux(tokens, lex: Lexicons) -> str:
             removed = True
             continue
         kept.append(t)
-    return detokenize(kept)
+    return join_words(t.text for t in kept)
 
 
-def detokenize(tokens) -> str:
-    """Join token texts with single spaces, gluing punctuation to the left."""
+def join_words(words) -> str:
+    """Join words with single spaces, gluing punctuation to the left."""
     parts = []
-    for t in tokens:
-        if parts and t.pos == OTHER and is_punct(t.text):
-            parts[-1] += t.text
+    for w in words:
+        if parts and is_punct(w):
+            parts[-1] += w
         else:
-            parts.append(t.text)
+            parts.append(w)
     return " ".join(parts)
 
 

@@ -98,7 +98,7 @@ def itm_pairs(record, corpus, object_index, neg_ratio: float = 1.0, seed=0) -> t
         return samples, 0
     own = object_index.get(record.image_id, frozenset())
     eligible = []
-    for other in corpus:
+    for other in corpus.records:
         if other.image_id == record.image_id:
             continue
         if not own.isdisjoint(object_index.get(other.image_id, frozenset())):

@@ -38,8 +38,19 @@ def make_qa_id(image_id: int, caption_index: int, generator: str, ordinal: int) 
     return stable_id(image_id, caption_index, generator, ordinal)
 
 
-def derived_qa_id(image_id: int, parent_id: str, source: str, ordinal: int) -> str:
-    return stable_id(image_id, parent_id, source, ordinal)
+def derive(parent: QAPair, source: str, ordinal: int, question: str, answer: str) -> QAPair:
+    """The `ordinal`-th pair that `source` (negation, adversarial substitution,
+    a rewrite) made from `parent`: same image, caption and answer type."""
+    return QAPair(
+        qa_id=stable_id(parent.image_id, parent.qa_id, source, ordinal),
+        image_id=parent.image_id,
+        question=question,
+        answer=answer,
+        answer_type=parent.answer_type,
+        source=source,
+        source_caption=parent.source_caption,
+        parent_id=parent.qa_id,
+    )
 
 
 def to_json_dict(qa: QAPair) -> dict:

@@ -1,9 +1,9 @@
 """Template question generation.
 
 Five generators build Q-A pairs from one analyzed caption (yes/no, object,
-number, color, location), and two transforms derive hard negatives from an
-existing pair (negation, adversarial object substitution). Every random
-choice draws from a stream keyed on (seed, image_id, caption_index,
+number, color, location), and two transforms derive a hard negative from
+the affirmed yes/no pair (negation, adversarial object substitution). Every
+random choice draws from a stream keyed on (seed, image_id, caption_index,
 generator), so output is reproducible pair by pair and images never
 influence one another.
 """
@@ -17,9 +17,9 @@ from . import lingo
 from . import wordlists as wl
 from .config import PipelineConfig
 from .embed import EmbeddingStore, nearest
-from .errors import Unsupported, ZeroVector
+from .errors import ZeroVector
 from .lingo import ADP, AUX, NOUN, OTHER, PROPN, VERB, Lexicons, subject_np
-from .qa import QAPair, derived_qa_id, make_qa_id
+from .qa import QAPair, derive, make_qa_id
 from .rng import stream
 
 _ARTICLES = ("a", "an", "the")
@@ -30,8 +30,6 @@ _DEMONSTRATIVES = ("this", "these", "that", "those")
 # which the regex engine scans for much faster
 _ART_A = re.compile(r"a(?<!\wa) (?=[aeiou])")
 _ART_AN = re.compile(r"an(?<!\wan) (?=[b-df-hj-np-tv-z])")
-
-_COLOR_Q = re.compile(r"^What is the color of (.+)\?$")
 
 _LONG_QUESTION = 14
 
@@ -58,15 +56,8 @@ def _word(token) -> str:
 
 
 def _words(tokens) -> str:
-    """Lowercased detokenization (proper nouns keep their case)."""
-    parts = []
-    for t in tokens:
-        w = _word(t)
-        if parts and t.pos == OTHER and lingo.is_punct(t.text):
-            parts[-1] += w
-        else:
-            parts.append(w)
-    return " ".join(parts)
+    """Lowercased token texts joined (proper nouns keep their case)."""
+    return lingo.join_words(map(_word, tokens))
 
 
 def _is_plural(token) -> bool:
@@ -173,7 +164,7 @@ def gen_yesno(record, caption_index, analysis, cfg: PipelineConfig, lex: Lexicon
     if mode == "adversarial" and store is not None:
         neg = adversarial_qa(yes, analysis, store, object_vocab, record_lemmas, cfg)
     if neg is None:
-        neg = negate_qa(yes, analysis, lex, cfg)
+        neg = negate_qa(yes, lex)
     return [yes, neg]
 
 
@@ -364,66 +355,22 @@ def gen_location(record, caption_index, analysis, lex: Lexicons):
 # --- negation -----------------------------------------------------------------
 
 
-def _splice(words, replace_at=None, replace_with=None, insert_at=None, insert_word=None):
-    parts = []
-    for i, w in enumerate(words):
-        if insert_at == i:
-            parts.append(insert_word)
-        text = replace_with if replace_at == i else w
-        if parts and lingo.is_punct(w):
-            parts[-1] += text
-        else:
-            parts.append(text)
-    if insert_at == len(words):
-        parts.append(insert_word)
-    return " ".join(parts)
-
-
-def _negate_yesno_question(question: str, lex: Lexicons) -> str:
-    words = lingo.tokenize(question)
+def negate_qa(qa: QAPair, lex: Lexicons) -> QAPair:
+    """Negated twin of a yes/no pair, with the answer flipped."""
+    words = lingo.tokenize(qa.question)
     low = [w.lower() for w in words[:3]]
     if len(words) >= 2 and low[1] == "there":
         if len(words) >= 3 and low[2] in _ARTICLES:
-            return _splice(words, replace_at=2, replace_with="no")
-        return _splice(words, insert_at=2, insert_word="no")
-    if len(words) >= 2 and low[1] in _DEMONSTRATIVES:
-        return _splice(words, insert_at=2, insert_word="not")
-    tokens, nps = lingo.analyze(question, lex)
-    after_subject = nps[0].end if nps else 1
-    return _splice(words, insert_at=after_subject, insert_word="not")
-
-
-def negate_qa(qa: QAPair, analysis, lex: Lexicons, cfg: PipelineConfig) -> QAPair:
-    """Negated twin of a yes/no or color pair, with the answer flipped."""
-    if qa.answer_type == "yesno":
-        question = _negate_yesno_question(qa.question, lex)
-        answer = "no" if qa.answer == "yes" else "yes"
-    elif qa.answer_type == "color":
-        m = _COLOR_Q.match(qa.question)
-        if m is None:
-            raise Unsupported(f"cannot negate color question {qa.question!r}")
-        question = f"What is not the color of {m.group(1)}?"
-        original = qa.answer.lower()
-        antonym = lex.antonyms.get(original)
-        if antonym in lex.colors:
-            answer = antonym
+            words[2] = "no"
         else:
-            others = sorted(lex.colors - {original})
-            if not others:
-                raise Unsupported("no alternative color available")
-            answer = stream(cfg.seed, qa.qa_id, "negate-color").choice(others)
+            words.insert(2, "no")
+    elif len(words) >= 2 and low[1] in _DEMONSTRATIVES:
+        words.insert(2, "not")
     else:
-        raise Unsupported(f"cannot negate answer type {qa.answer_type!r}")
-    return QAPair(
-        qa_id=derived_qa_id(qa.image_id, qa.qa_id, "negation", 0),
-        image_id=qa.image_id,
-        question=question,
-        answer=answer,
-        answer_type=qa.answer_type,
-        source="negation",
-        source_caption=qa.source_caption,
-        parent_id=qa.qa_id,
-    )
+        _, nps = lingo.analyze(qa.question, lex)
+        words.insert(nps[0].end if nps else 1, "not")
+    answer = "no" if qa.answer == "yes" else "yes"
+    return derive(qa, "negation", 0, lingo.join_words(words), answer)
 
 
 # --- adversarial substitution ---------------------------------------------------
@@ -484,16 +431,7 @@ def adversarial_qa(qa: QAPair, analysis, store: EmbeddingStore, object_vocab,
     question = re.sub(
         rf"\b{re.escape(surface)}\b", substitute, qa.question, count=1, flags=re.IGNORECASE
     )
-    return QAPair(
-        qa_id=derived_qa_id(qa.image_id, qa.qa_id, "adversarial", 0),
-        image_id=qa.image_id,
-        question=_fix_articles(question),
-        answer=answer,
-        answer_type=qa.answer_type,
-        source="adversarial",
-        source_caption=qa.source_caption,
-        parent_id=qa.qa_id,
-    )
+    return derive(qa, "adversarial", 0, _fix_articles(question), answer)
 
 
 def build_object_vocab(counts: Counter, limit: int = 5000) -> set:

@@ -131,25 +131,6 @@ IRREGULAR_PLURALS = {
     "geese": "goose",
 }
 
-ANTONYMS = {
-    "big": "small", "small": "big",
-    "large": "little", "little": "large",
-    "tall": "short", "short": "tall",
-    "long": "short",
-    "open": "closed", "closed": "open",
-    "empty": "full", "full": "empty",
-    "young": "old", "old": "young",
-    "new": "old",
-    "clean": "dirty", "dirty": "clean",
-    "wet": "dry", "dry": "wet",
-    "hot": "cold", "cold": "hot",
-    "dark": "bright", "bright": "dark",
-    "black": "white", "white": "black",
-    "day": "night", "night": "day",
-    "left": "right", "right": "left",
-    "up": "down", "down": "up",
-}
-
 # Nouns that describe a part or relation rather than a depictable object;
 # never selected as question answers.
 RELATIONAL_NOUNS = frozenset(

@@ -118,7 +118,7 @@ def test_criterion_1_golden_examples():
 
         # negation pair
         bread = QAPair("g1", 1, "Is this bread?", "yes", "yesno", "template", "bread")
-        negated = negate_qa(bread, analyze("bread", LEX), LEX, PipelineConfig(seed=0))
+        negated = negate_qa(bread, LEX)
         assert (norm(negated.question), negated.answer) == ("is this not bread?", "no")
 
         # adversarial count question

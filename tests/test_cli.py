@@ -330,9 +330,18 @@ class TestGenerate:
         assert yes * 2 == len(pairs)
 
     def test_srl_generator_without_frames_exit_1(self, demo_coco, tmp_path, capsys):
-        rc = run_generate(demo_coco, tmp_path / "qa.jsonl", "--generators", "srl")
-        assert rc == 1
-        assert "--srl-frames" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"generators": ["yesno", "srl"]}')
+        out = tmp_path / "qa.jsonl"
+        # named by the flag, by --set or by a config file: the same rule
+        for extra in (("--generators", "srl"), ("--set", 'generators=["srl"]'),
+                      ("--config", str(cfg))):
+            assert run_generate(demo_coco, out, *extra) == 1
+            assert "--srl-frames" in capsys.readouterr().err
+            assert not out.exists()
+        # the default list names srl too, and skips it without frames
+        assert run_generate(demo_coco, out) == 0
+        assert all(qa.source != "srl" for qa in read_jsonl(out))
 
     def test_srl_frames_produce_pairs(self, demo_coco, srl_frames, tmp_path):
         out = tmp_path / "qa.jsonl"
@@ -347,16 +356,27 @@ class TestGenerate:
 
     def test_with_vectors_runs_adversarial(self, demo_coco, vectors_path, tmp_path):
         out = tmp_path / "qa.jsonl"
-        rc = run_generate(
-            demo_coco, out,
-            "--vectors", vectors_path,
-            "--negative-mode", "adversarial",
-            "--seed", "4",
-        )
-        assert rc == 0
-        pairs = list(read_jsonl(out))
-        yesno = [qa for qa in pairs if qa.answer_type == "yesno"]
-        assert sum(1 for qa in yesno if qa.answer == "yes") * 2 == len(yesno)
+        sources = set()
+        for mode in ("auto", "adversarial"):
+            rc = run_generate(
+                demo_coco, out,
+                "--vectors", vectors_path,
+                "--negative-mode", mode,
+                "--seed", "4",
+            )
+            assert rc == 0
+            pairs = list(read_jsonl(out))
+            yesno = [qa for qa in pairs if qa.answer_type == "yesno"]
+            assert sum(1 for qa in yesno if qa.answer == "yes") * 2 == len(yesno)
+            # a hard negative is only ever made from an affirmed yes/no row
+            by_id = {qa.qa_id: qa for qa in pairs}
+            for qa in pairs:
+                if qa.source in ("negation", "adversarial"):
+                    sources.add(qa.source)
+                    assert qa.answer_type == "yesno"
+                    parent = by_id[qa.parent_id]
+                    assert (parent.answer_type, parent.answer) == ("yesno", "yes")
+        assert sources == {"negation", "adversarial"}
 
     def test_pickled_context_gives_same_rows(self, demo_coco, vectors_path, srl_frames):
         import pickle

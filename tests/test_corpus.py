@@ -112,20 +112,19 @@ def test_iterate_ascending_image_id(tmp_path):
     anns = [{"image_id": i, "caption": f"caption {i}"} for i in (12, 3, 7)]
     p = write_coco(tmp_path, anns)
     corpus = load_coco(p)
-    assert [r.image_id for r in corpus] == [3, 7, 12]
+    assert [r.image_id for r in corpus.records] == [3, 7, 12]
 
 
 def test_iterate_empty():
-    corpus = Corpus(records=[])
-    assert list(corpus) == []
+    assert Corpus().records == []
 
 
 def test_iterate_repeatable(tmp_path):
     anns = [{"image_id": i, "caption": "x y z"} for i in (4, 2, 9)]
     p = write_coco(tmp_path, anns)
     corpus = load_coco(p)
-    first = [r.image_id for r in corpus]
-    second = [r.image_id for r in corpus]
+    first = [r.image_id for r in corpus.records]
+    second = [r.image_id for r in corpus.records]
     assert first == second
 
 

@@ -173,7 +173,7 @@ def test_lexicon_override_file(tmp_path):
     override = {
         "colors": ["blurple"],
         "locations": ["zorbfield"],
-        "antonyms": {"fast": "slow"},
+        "antonyms": 5,
         "number_words": {"dozen": "12"},
     }
     p = tmp_path / "lex.json"
@@ -181,8 +181,11 @@ def test_lexicon_override_file(tmp_path):
     lex = Lexicons.load(p)
     assert "blurple" in lex.colors and "red" in lex.colors
     assert "zorbfield" in lex.locations
-    assert lex.antonyms["fast"] == "slow"
     assert lex.number_words["dozen"] == "12"
+    # a key the lexicons do not hold is ignored, whatever its value
+    del override["antonyms"]
+    p.write_text(json.dumps(override), encoding="utf-8")
+    assert Lexicons.load(p) == lex
     # base lexicon untouched
     assert "blurple" not in LEX.colors
 
