@@ -15,11 +15,13 @@ so augmentation can never silently detach a question from its answer.
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
-import subprocess
+import time
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
+from itertools import islice
 
 from .config import PipelineConfig
 from .errors import MalformedInput, RewriterUnavailable
@@ -114,37 +116,58 @@ def _subprocess_backend(argv, batches, cfg) -> list:
     """Answer every batch of the run from one child process running `argv`.
 
     The child gets every request of the run, then EOF on stdin, and may answer
-    in any order; `communicate` reads while it writes, so a child that does not
-    flush per line cannot deadlock. It has `timeout_s` per batch, summed over
-    the run. Returns, per batch, its responses or the RewriterUnavailable that
-    fails it. A child that exits non-zero or times out fails the batches it
-    had not answered in full, and a line it did not finish counts as no
-    response.
+    in any order. Requests are written and answers parsed a line at a time,
+    as the child takes and gives them, so a child that does not flush per
+    line cannot deadlock and the run never holds its whole payload or the
+    child's whole output. The child has `timeout_s` per batch, summed over the
+    run, and is killed when that runs out. Returns, per batch, its responses
+    or the RewriterUnavailable that fails it. A child that exits non-zero or
+    times out fails the batches it had not answered in full, and a line it
+    did not finish counts as no response.
     """
-    payload = "".join(json.dumps(_payload(p, cfg)) + "\n" for batch in batches for p in batch)
-    failure = None
+    import subprocess  # only a command-line rewriter pays for loading it
+
+    budget = cfg.timeout_s * len(batches)
+    requests = ((json.dumps(_payload(p, cfg)) + "\n").encode("utf-8")
+                for batch in batches for p in batch)
     try:
-        proc = subprocess.run(argv, input=payload.encode("utf-8"), capture_output=True,
-                              timeout=cfg.timeout_s * len(batches))
-        stdout = proc.stdout
-        if proc.returncode != 0:
-            stderr = proc.stderr.decode("utf-8", "replace").strip()
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+    except OSError as exc:
+        return [RewriterUnavailable(f"rewriter subprocess failed: {exc}")] * len(batches)
+    failure = None
+
+    def lines():
+        nonlocal failure
+        deadline = time.monotonic() + budget
+        tail, stderr, timed_out = yield from _exchange(proc, requests, deadline)
+        if not timed_out:
+            try:
+                proc.wait(deadline - time.monotonic())
+            except subprocess.TimeoutExpired:
+                timed_out = True
+        if timed_out:
+            proc.kill()
+            failure = RewriterUnavailable(
+                f"rewriter subprocess failed: {subprocess.TimeoutExpired(argv, budget)}")
+        elif proc.returncode != 0:
+            stderr = stderr.decode("utf-8", "replace").strip()
             failure = RewriterUnavailable(
                 f"rewriter exited with status {proc.returncode}: {stderr[:200]}"
             )
-    except subprocess.TimeoutExpired as exc:
-        # run() has killed and reaped the child; exc.stdout is what it wrote
-        stdout = exc.stdout or b""
-        failure = RewriterUnavailable(f"rewriter subprocess failed: {exc}")
-    except OSError as exc:
-        return [RewriterUnavailable(f"rewriter subprocess failed: {exc}")] * len(batches)
-    lines = stdout.splitlines()
-    if failure is not None and not stdout.endswith((b"\n", b"\r")):
-        lines = lines[:-1]  # a line the child did not finish
-    try:
-        got = _assign(lines, batches)
-    except RewriterUnavailable as exc:
-        return [exc] * len(batches)
+        if failure is not None and not tail.endswith(b"\r"):
+            yield from tail.splitlines()[:-1]  # a line the child did not finish
+        else:
+            yield from tail.splitlines()
+
+    with proc, closing(lines()) as child_lines:
+        try:
+            got = _assign(child_lines, batches)
+        except RewriterUnavailable as exc:
+            return [exc] * len(batches)
+        finally:
+            if proc.returncode is None:
+                proc.kill()
     if failure is None:
         return got
     return [
@@ -154,10 +177,61 @@ def _subprocess_backend(argv, batches, cfg) -> list:
     ]
 
 
+def _exchange(proc, requests, deadline):
+    """Write the encoded `requests` to the child's stdin, then close it, and
+    yield each finished line of its stdout as it arrives, until the child
+    closes its output or time.monotonic() reaches `deadline`.
+
+    One select loop drives all three pipes, as `communicate` does, so the
+    deadline holds even when a grandchild keeps a pipe open. Returns the bytes
+    after the last newline, everything the child wrote to stderr, and whether
+    the deadline passed first.
+    """
+    import select
+    import selectors
+
+    pending = b"".join(islice(requests, 32))  # request bytes not yet written
+    partial = bytearray()  # stdout bytes after the last newline
+    stderr = bytearray()
+    with selectors.PollSelector() as sel:
+        sel.register(proc.stdin, selectors.EVENT_WRITE)
+        sel.register(proc.stdout, selectors.EVENT_READ)
+        sel.register(proc.stderr, selectors.EVENT_READ)
+        while sel.get_map():
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
+                return partial, stderr, True
+            for key, _ in sel.select(timeout):
+                if key.fileobj is proc.stdin:
+                    try:
+                        pending = (pending[os.write(key.fd, pending[:select.PIPE_BUF]):]
+                                   or b"".join(islice(requests, 32)))
+                    except BrokenPipeError:  # the child stopped reading
+                        pending = b""
+                    if not pending:
+                        sel.unregister(key.fileobj)
+                        key.fileobj.close()
+                    continue
+                data = os.read(key.fd, 32768)
+                if not data:
+                    sel.unregister(key.fileobj)
+                    key.fileobj.close()
+                elif key.fileobj is proc.stderr:
+                    stderr += data
+                else:
+                    partial += data
+                    end = partial.rfind(b"\n", -len(data)) + 1
+                    if end:
+                        yield from partial[:end].splitlines()
+                        del partial[:end]
+    return partial, stderr, False
+
+
 def _assign(lines, batches) -> list:
     """Each batch's responses among the JSON `lines`, matched by request_id.
 
-    A line that is not a response, or an id that no request of the run
+    `lines` is read once, in order, so each line is parsed as it arrives. A
+    line that is not a response, or an id that no request of the run
     carries, cannot be put in a batch, so it raises RewriterUnavailable.
     """
     owner = {p.qa_id: i for i, batch in enumerate(batches) for p in batch}

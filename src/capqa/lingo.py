@@ -62,10 +62,6 @@ class NounPhrase(NamedTuple):
     color: Optional[Token] = None
 
     @property
-    def text(self) -> str:
-        return " ".join(t.text for t in self.tokens)
-
-    @property
     def text_sans_determiner(self) -> str:
         return " ".join(t.text for t in self.tokens if t is not self.determiner)
 

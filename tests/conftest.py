@@ -1,7 +1,9 @@
 """Shared synthetic corpora and embedding fixtures."""
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,15 @@ def synth_caption(rng: random.Random) -> str:
     if kind == 4:
         return f"A {noun} and a {other} {verb} near the {place}"
     return f"A {adj} {noun} {verb}"
+
+
+def traced_layers() -> list:
+    """The capqa modules whose functions pipebench/traced.py wraps."""
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "traced.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS":
+            return [f"capqa.{name}" for name in ast.literal_eval(node.value)]
+    raise AssertionError("no LAYERS in pipebench/traced.py")
 
 
 def write_coco(path, records) -> str:

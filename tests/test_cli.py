@@ -1,6 +1,5 @@
 """Command-line pipeline: dispatch, determinism, exit codes, file plumbing."""
 
-import ast
 import json
 import os
 import subprocess
@@ -15,7 +14,7 @@ from capqa.cli import main
 from capqa.config import PipelineConfig, load_config, require_file, resolve
 from capqa.errors import MalformedInput
 from capqa.qa import QAPair, read_jsonl, write_jsonl
-from conftest import write_coco
+from conftest import traced_layers, write_coco
 
 
 @pytest.fixture()
@@ -1095,15 +1094,6 @@ for name, argv in runs:
 with open(out, "w") as fh:
     json.dump(seen, fh)
 """
-
-
-def traced_layers() -> list:
-    """The capqa modules whose functions pipebench/traced.py wraps."""
-    path = Path(__file__).resolve().parents[1] / "pipebench" / "traced.py"
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS":
-            return [f"capqa.{name}" for name in ast.literal_eval(node.value)]
-    raise AssertionError("no LAYERS in pipebench/traced.py")
 
 
 def test_heavy_imports_load_only_where_used(demo_coco, vectors_path, tmp_path):

@@ -16,14 +16,18 @@ from capqa.lingo import (
 LEX = Lexicons.default()
 
 
+def phrase_text(np_) -> str:
+    return " ".join(t.text for t in np_.tokens)
+
+
 def np_texts(caption):
     _, nps = analyze(caption, LEX)
-    return [np.text for np in nps]
+    return [phrase_text(np_) for np_ in nps]
 
 
 def test_yesno_example_noun_phrases():
     tokens, nps = analyze("A man is wearing a hat and sitting", LEX)
-    assert [np.text for np in nps] == ["A man", "a hat"]
+    assert [phrase_text(np_) for np_ in nps] == ["A man", "a hat"]
     assert [np.head.lemma for np in nps] == ["man", "hat"]
 
 
@@ -100,7 +104,7 @@ def test_analyze_pure(caption):
 
 def test_subject_np_skips_phrases_after_a_preposition():
     tokens, nps = analyze("On the table near a window", LEX)
-    assert [np.text for np in nps] == ["the table", "a window"]
+    assert [phrase_text(np_) for np_ in nps] == ["the table", "a window"]
     assert subject_np(tokens, nps) is None
     tokens, nps = analyze("On the table a cat sleeps", LEX)
     assert subject_np(tokens, nps) is nps[1]
