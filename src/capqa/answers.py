@@ -7,8 +7,17 @@ swap number, so "two black cars" also matches "2 cars" at weight 2/3.
 Answers longer than twelve content tokens fall back to single tokens plus
 head-final contiguous suffixes to keep expansion linear. `expand_answer`
 returns the (phrase, Fraction) list, by descending weight then phrase: the
-weights are counted as integer token counts and each entry's count becomes
-one exact Fraction at the end.
+weights are counted as integer token counts, and each entry takes its exact
+Fraction from a shared table at the end.
+
+The table holds one `Fraction` per weight value, so every entry of that value,
+in any answer, is the same object; an atomic answer's weight 1 is the same
+object as a full answer's. `WEIGHT_TEXT` maps `id()` of each shared Fraction to
+its on-disk text, `repr(round(float(w), 6))`, which is how `capqa.qa` writes a
+weight without converting it per entry. The ids are safe keys because the
+table keeps every shared Fraction alive for the whole run. The table is
+filled as token counts are first met, and grows with the distinct
+(count, n) pairs, never with the answers.
 """
 
 from __future__ import annotations
@@ -23,8 +32,29 @@ from .lingo import WORD_RE, Lexicons, pluralize, singularize
 
 _MAX_SUBSEQ_TOKENS = 12
 
+# n -> the shared Fraction(count, n) for count in 0..n, each a _by_value entry
+_over: dict = {}
+# weight value -> its one shared Fraction
+_by_value: dict = {}
+# id(shared Fraction) -> its on-disk text
+WEIGHT_TEXT: dict = {}
+
 # answers that are atomic labels rather than decomposable phrases
 _ATOMIC_ANSWERS = ("yes", "no", "none", "can't say")
+
+
+def _shared(weight: Fraction) -> Fraction:
+    weight = _by_value.setdefault(weight, weight)
+    WEIGHT_TEXT[id(weight)] = repr(round(float(weight), 6))
+    return weight
+
+
+def _weights_over(n: int) -> list:
+    """The shared Fraction(count, n), indexed by count."""
+    row = _over.get(n)
+    if row is None:
+        row = _over[n] = [_shared(Fraction(count, n)) for count in range(n + 1)]
+    return row
 
 
 def normalize_answer(answer: str) -> list[str]:
@@ -69,8 +99,8 @@ def _digit_swaps(toks, lex: Lexicons):
 def expand_answer(answer: str, lex: Lexicons) -> list:
     """The answer's (phrase, weight) entries, by descending weight then phrase.
 
-    Each phrase keeps the largest token count it is reached with; the count
-    becomes one exact `Fraction(count, n)` per entry once the order is fixed.
+    Each phrase keeps the largest token count it is reached with; once the
+    order is fixed, each count takes the shared `Fraction(count, n)`.
     """
     toks = normalize_answer(answer)
     if not toks:
@@ -97,8 +127,9 @@ def expand_answer(answer: str, lex: Lexicons) -> list:
         for spelling in _digit_swaps(sub, lex):
             add(" ".join(spelling), count)
 
+    weights = _weights_over(n)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(phrase, Fraction(count, n)) for phrase, count in ordered]
+    return [(phrase, weights[count]) for phrase, count in ordered]
 
 
 def answer_weights(qa, lex: Lexicons) -> list:
@@ -108,7 +139,7 @@ def answer_weights(qa, lex: Lexicons) -> list:
     if qa.weights:
         return qa.weights
     if qa.answer_type == "yesno" or qa.answer in _ATOMIC_ANSWERS:
-        return [(qa.answer, Fraction(1))]
+        return [(qa.answer, _weights_over(1)[1])]
     return expand_answer(qa.answer, lex)
 
 

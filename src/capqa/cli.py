@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections import deque
 
 from . import files
 from .answers import answer_weights, build_vocab, save_vocab_file
@@ -132,14 +133,35 @@ def _record_pairs(record, ctx: _Context) -> list:
 # worker processes get the parent's context once, at start-up
 _WORKER_CTX = None
 
+# records per task sent to a worker, and tasks in flight per worker: the
+# parent never holds more than this many records' finished pairs
+_CHUNK_RECORDS = 16
+_CHUNKS_PER_WORKER = 2
+
 
 def _init_worker(ctx: _Context) -> None:
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
 
-def _worker_pairs(record) -> list:
-    return _record_pairs(record, _WORKER_CTX)
+def _worker_pairs(records) -> list:
+    return [_record_pairs(record, _WORKER_CTX) for record in records]
+
+
+def _pool_pairs(pool, records, workers: int):
+    """Each record's pairs, in record order, from `pool`'s workers with at
+    most `_CHUNKS_PER_WORKER * workers` chunks in flight."""
+    pending = deque()
+    try:
+        for start in range(0, len(records), _CHUNK_RECORDS):
+            if len(pending) == _CHUNKS_PER_WORKER * workers:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_worker_pairs, records[start:start + _CHUNK_RECORDS]))
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 # --- output plumbing --------------------------------------------------------------
@@ -220,8 +242,7 @@ def _cmd_generate(args) -> int:
             initializer=_init_worker,
             initargs=(ctx,),
         ) as pool:
-            chunksize = max(1, -(-len(records) // (cfg.workers * 4)))
-            count = publish(pool.map(_worker_pairs, records, chunksize=chunksize))
+            count = publish(_pool_pairs(pool, records, cfg.workers))
     _emit(acc.report().to_json_dict() if count else {"total": 0})
     return 0
 

@@ -6,10 +6,13 @@ non-blank lines of a text file, or the records of a JSON-lines file. Each
 reader hands what it read to a parse callback. A file that cannot be opened,
 is not UTF-8 or not JSON, or that the callback rejects with KeyError,
 TypeError, ValueError or MalformedInput, ends in one MalformedInput naming
-`PATH`, or `PATH:LINE` for the line formats.
+`PATH`, or `PATH:LINE` for the line formats. `NaN`, `Infinity` and
+`-Infinity`, which `json` accepts but RFC 8259 does not, are not JSON here.
 
 Every output is written through `write_lines`, one line at a time, so a
-writer streams whatever iterable it is given. JSON-lines rows are encoded by
+writer streams whatever iterable it is given. QA rows (`capqa.qa`) and patch
+rows (`capqa.patches`) build their own lines; every other JSON-lines row,
+such as a pre-training sample with its nested `targets` map, is encoded by
 `encode_row`.
 """
 
@@ -27,6 +30,22 @@ _BAD_INPUT = (OSError, KeyError, TypeError, ValueError, MalformedInput)
 encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# json.loads with any keyword argument builds a new decoder per call; every
+# reader shares this one
+_decode = json.JSONDecoder(parse_constant=_no_constant).decode
+
+
+def _loads(text: str):
+    # the check json.loads makes before it decodes
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _decode(text)
+
+
 def _bad(where, exc) -> MalformedInput:
     if isinstance(exc, OSError) and exc.strerror:
         reason = exc.strerror
@@ -41,7 +60,7 @@ def read_json(path, parse):
     """`parse` of the UTF-8 JSON document at `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _loads(fh.read())
         return parse(doc)
     except _BAD_INPUT as exc:
         raise _bad(path, exc) from exc
@@ -63,7 +82,7 @@ def read_lines(path, parse):
 
 def read_json_lines(path, parse):
     """Yield `parse` of each record of the JSON-lines file at `path`."""
-    return read_lines(path, lambda line: parse(json.loads(line)))
+    return read_lines(path, lambda line: parse(_loads(line)))
 
 
 def write_lines(path, lines) -> int:

@@ -300,7 +300,9 @@ def subject_np(tokens, nps):
 
 def lower_squeeze(text: str) -> str:
     """`text` lowercased and stripped, each whitespace run squeezed to one space."""
-    return re.sub(r"\s+", " ", text.strip().lower())
+    # str.split() cuts at exactly the code points a str pattern's \s matches,
+    # and lowercasing makes no whitespace
+    return " ".join(text.lower().split())
 
 
 def strip_aux(tokens, lex: Lexicons) -> str:
@@ -319,7 +321,7 @@ def join_words(words) -> str:
     """Join words with single spaces, gluing punctuation to the left."""
     parts = []
     for w in words:
-        if parts and is_punct(w):
+        if parts and not w.isalnum() and is_punct(w):
             parts[-1] += w
         else:
             parts.append(w)

@@ -75,10 +75,14 @@ def pyramid(image_id: int, width: int, height: int, levels) -> PatchSpec:
 
 
 def write_manifest(specs: Iterable[PatchSpec], path) -> int:
-    """One JSON line per patch; returns the line count."""
+    """One JSON line per patch, the text `json` would give for
+    {"image_id", "level", "row", "col", "rect", "pos_enc"}: every field is an
+    int or a finite float, which `json` prints as `repr` does. Returns the
+    line count."""
     return files.write_lines(path, (
-        files.encode_row({"image_id": spec.image_id, "level": p.level, "row": p.row,
-                          "col": p.col, "rect": p.rect, "pos_enc": p.pos_enc})
+        f'{{"image_id": {spec.image_id!r}, "level": {p.level!r}, "row": {p.row!r}, '
+        f'"col": {p.col!r}, "rect": [{", ".join(map(repr, p.rect))}], '
+        f'"pos_enc": [{", ".join(map(repr, p.pos_enc))}]}}'
         for spec in specs
         for p in spec.patches
     ))

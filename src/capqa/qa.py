@@ -9,14 +9,26 @@ One JSON object per line:
 `parent_id` appears only on pairs derived from another pair (negation,
 adversarial substitution, rewrites). Weights are exact fractions in memory
 and rounded to six decimals on disk.
+
+`qa_json_line` builds each line itself, with the text `json.JSONEncoder(
+ensure_ascii=False)` would give: strings through `encode_basestring`, the
+function that encoder uses, and `image_id` and weights through `repr`, which
+is what `json` prints for an int and a finite float. A weight from
+`capqa.answers` takes its text from `answers.WEIGHT_TEXT`; any other weight (a
+float read from a file, a Fraction unpickled from a worker) is rounded where
+it is written. Readers reject non-finite numbers, so no weight prints as
+`nan` or `inf`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _str
+from sys import float_info
 from typing import Iterable, Iterator, Optional
 
 from . import files
+from .answers import WEIGHT_TEXT
 from .errors import MalformedInput
 from .rng import stable_id
 
@@ -53,25 +65,6 @@ def derive(parent: QAPair, source: str, ordinal: int, question: str, answer: str
     )
 
 
-def to_json_dict(qa: QAPair) -> dict:
-    d = {
-        "qa_id": qa.qa_id,
-        "image_id": qa.image_id,
-        "question": qa.question,
-        "answer": qa.answer,
-        "answer_type": qa.answer_type,
-        "source": qa.source,
-        "source_caption": qa.source_caption,
-        "weights": [
-            {"phrase": phrase, "weight": round(float(w), 6)}
-            for phrase, w in (qa.weights or [])
-        ],
-    }
-    if qa.parent_id is not None:
-        d["parent_id"] = qa.parent_id
-    return d
-
-
 # field -> the JSON type it must hold (exactly: a bool is not an int here)
 _FIELDS = {"qa_id": str, "image_id": int, "question": str, "answer": str,
            "answer_type": str, "source": str, "source_caption": str}
@@ -98,13 +91,23 @@ def from_json_dict(d: dict) -> QAPair:
 
 def _weight(entry) -> tuple:
     phrase, weight = entry["phrase"], entry["weight"]
-    if type(phrase) is not str or type(weight) not in (int, float):
-        raise MalformedInput(f"weight needs a string phrase and a number: {entry!r}")
+    # `not <=` also turns away NaN; an int too large for a float never converts
+    if (type(phrase) is not str or type(weight) not in (int, float)
+            or not abs(weight) <= float_info.max):
+        raise MalformedInput(f"weight needs a string phrase and a finite number: {entry!r}")
     return phrase, float(weight)
 
 
 def qa_json_line(qa: QAPair) -> str:
-    return files.encode_row(to_json_dict(qa))
+    weights = ", ".join([
+        f'{{"phrase": {_str(phrase)}, "weight": '
+        f'{WEIGHT_TEXT.get(id(w)) or repr(round(float(w), 6))}}}'
+        for phrase, w in qa.weights or ()])
+    parent = "" if qa.parent_id is None else f', "parent_id": {_str(qa.parent_id)}'
+    return (f'{{"qa_id": {_str(qa.qa_id)}, "image_id": {qa.image_id!r}, '
+            f'"question": {_str(qa.question)}, "answer": {_str(qa.answer)}, '
+            f'"answer_type": {_str(qa.answer_type)}, "source": {_str(qa.source)}, '
+            f'"source_caption": {_str(qa.source_caption)}, "weights": [{weights}]{parent}}}')
 
 
 def write_jsonl(pairs: Iterable[QAPair], path) -> int:

@@ -18,7 +18,7 @@ from _blake2 import blake2b
 
 
 def _digest(parts: tuple) -> bytes:
-    canon = "\x1f".join(str(p) for p in parts)
+    canon = "\x1f".join(map(str, parts))
     return blake2b(canon.encode("utf-8"), digest_size=8).digest()
 
 

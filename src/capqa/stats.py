@@ -22,13 +22,14 @@ _ANSWER_NORMALIZATION = "lowercase, whitespace-squeezed"
 _PUNCT = string.punctuation
 
 
-def _tokens(text: str) -> list:
-    out = []
+def _token_count(text: str) -> int:
+    # a plain loop: on CPython 3.11, sum() over a generator and a list of the
+    # stripped units are both slower
+    count = 0
     for unit in text.split():
-        word = unit.strip(_PUNCT)
-        if word:
-            out.append(word)
-    return out
+        if unit.strip(_PUNCT):
+            count += 1
+    return count
 
 
 @dataclass
@@ -62,8 +63,8 @@ class StatsAccumulator:
     answers: set = field(default_factory=set)
 
     def add(self, pair) -> None:
-        q = len(_tokens(pair.question))
-        a = len(_tokens(pair.answer))
+        q = _token_count(pair.question)
+        a = _token_count(pair.answer)
         self.count += 1
         self.question_tokens += q
         self.answer_tokens += a
@@ -71,11 +72,12 @@ class StatsAccumulator:
         self.source_question_tokens[pair.source] += q
         self.source_answer_tokens[pair.source] += a
         self.type_counts[pair.answer_type] += 1
+        answer = lower_squeeze(pair.answer)
         if pair.answer_type == "yesno":
             self.yesno_count += 1
-            if lower_squeeze(pair.answer) == "yes":
+            if answer == "yes":
                 self.yes_count += 1
-        self.answers.add(lower_squeeze(pair.answer))
+        self.answers.add(answer)
 
     def report(self) -> DatasetReport:
         if self.count == 0:

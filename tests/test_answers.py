@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from capqa import wordlists as wl
 from capqa.answers import (
+    WEIGHT_TEXT,
+    answer_weights,
     build_vocab,
     expand_answer,
     normalize_answer,
@@ -284,3 +286,26 @@ def test_vocab_file_lines(tmp_path):
     header, *lines = p.read_text(encoding="utf-8").split("\n")[:-1]
     assert header == f"#capqa-vocab v1 count={len(phrases)}"
     assert lines == phrases
+
+
+# --- the shared weight table ------------------------------------------------------
+
+
+@given(st.lists(st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=14),
+                min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_equal_weights_are_one_object_with_its_text(answers):
+    atomic = answer_weights(make_pair("yes", 0, answer_type="yesno"), LEX)
+    entries = atomic + [e for words in answers for e in expand_answer(" ".join(words), LEX)]
+    by_value = {}
+    for _, w in entries:
+        assert type(w) is Fraction
+        assert by_value.setdefault(w, w) is w
+        assert WEIGHT_TEXT[id(w)] == repr(round(float(w), 6))
+    assert atomic[0][1] is by_value[Fraction(1)]
+
+
+def test_one_fraction_per_value_across_denominators():
+    halves = [w for answer in ("red cars", "two big red cars")
+              for p, w in expand_answer(answer, LEX) if w == Fraction(1, 2)]
+    assert len(halves) > 2 and all(w is halves[0] for w in halves)

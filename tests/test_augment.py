@@ -327,6 +327,7 @@ def http_rewriter():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/rewrite"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_rewriter(http_rewriter):

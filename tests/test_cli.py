@@ -244,6 +244,39 @@ class TestGenerate:
         sources = {json.loads(line)["source"] for line in outputs[0][0].splitlines()}
         assert {"adversarial", "srl"} <= sources
 
+    def test_pool_keeps_few_chunks_in_flight_and_record_order(self, monkeypatch):
+        import capqa.cli
+
+        class Task:
+            def __init__(self, value):
+                self.value, self.taken = value, False
+
+            def result(self):
+                self.taken = True
+                return self.value
+
+            def cancel(self):
+                return False
+
+        class Pool:
+            """Runs each task at once; notes the most tasks whose result is
+            not taken yet."""
+
+            def __init__(self):
+                self.tasks, self.most = [], 0
+
+            def submit(self, fn, chunk):
+                self.tasks.append(Task(fn(chunk)))
+                self.most = max(self.most, sum(not t.taken for t in self.tasks))
+                return self.tasks[-1]
+
+        monkeypatch.setattr(capqa.cli, "_worker_pairs", lambda chunk: [[r] for r in chunk])
+        records = list(range(10 * capqa.cli._CHUNK_RECORDS + 3))
+        pool = Pool()
+        assert list(capqa.cli._pool_pairs(pool, records, 2)) == [[r] for r in records]
+        assert pool.most == 2 * capqa.cli._CHUNKS_PER_WORKER
+        assert len(pool.tasks) == 11
+
     def test_printed_report_equals_stats_of_written_file(self, demo_coco, tmp_path, capsys):
         out = tmp_path / "qa.jsonl"
         assert run_generate(demo_coco, out, "--seed", "5") == 0
@@ -947,6 +980,12 @@ def jsonl(*rows) -> bytes:
     )
 
 
+def weight_row(number: bytes) -> bytes:
+    """A QA line whose one weight is `number`, as written."""
+    row = dict(GOOD_ROW, weights=[{"phrase": "yes", "weight": 0.5}])
+    return json.dumps(row).encode().replace(b"0.5", number) + b"\n"
+
+
 # flag that takes the bad file, its bytes, and the line the error names (None for
 # whole-document formats); "--in" files go to weigh, the rest to generate
 BAD_INPUTS = {
@@ -983,6 +1022,14 @@ BAD_INPUTS = {
         GOOD_ROW, weights=[{"phrase": 5, "weight": 0.5}])), 2),
     "qa-weight-string": ("--in", jsonl(GOOD_ROW, dict(
         GOOD_ROW, weights=[{"phrase": "yes", "weight": "0.5"}])), 2),
+    # json reads these three, but RFC 8259 has no such numbers
+    "qa-weight-nan": ("--in", jsonl(GOOD_ROW, weight_row(b"NaN")), 2),
+    "qa-weight-infinity": ("--in", jsonl(GOOD_ROW, weight_row(b"-Infinity")), 2),
+    "captions-nan": ("--captions", b'{"annotations": [{"image_id": NaN, "caption": "a"}]}',
+                     None),
+    # valid JSON, but too large for a float
+    "qa-weight-overflow": ("--in", jsonl(GOOD_ROW, weight_row(b"1e400")), 2),
+    "qa-weight-huge-int": ("--in", jsonl(GOOD_ROW, weight_row(b"1" + b"0" * 400)), 2),
 }
 
 

@@ -73,3 +73,26 @@ def test_lines_are_parsed_in_order_without_blanks(tmp_path):
     path = tmp_path / "words.txt"
     path.write_bytes(b"a 1\r\n\n  \nb 2\n")
     assert list(read_lines(path, str.split)) == [["a", "1"], ["b", "2"]]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_document_rejects_non_json_numbers(tmp_path, constant):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"seed": {constant}}}', encoding="utf-8")
+    with pytest.raises(MalformedInput, match=rf"^{path}: {constant} is not a JSON number$"):
+        read_json(path, dict)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_lines_reject_non_json_numbers(tmp_path, constant):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f'{{"w": 0.5}}\n{{"w": [1, {constant}]}}\n', encoding="utf-8")
+    with pytest.raises(MalformedInput, match=rf"^{path}:2: {constant} is not a JSON number$"):
+        list(read_json_lines(path, dict))
+
+
+def test_byte_order_mark_named_as_json_names_it(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("\ufeff{}", encoding="utf-8")
+    with pytest.raises(MalformedInput, match=rf"^{path}: Unexpected UTF-8 BOM"):
+        read_json(path, dict)

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from capqa import wordlists as wl
 from capqa.lingo import (
     Lexicons,
     analyze,
+    lower_squeeze,
     pluralize,
     singularize,
     strip_aux,
@@ -287,3 +290,21 @@ def test_override_colliding_with_higher_lists_keeps_their_tags(override_lex):
     # a list entry with no letter or digit, or all digits, is tagged before any list
     tokens, _ = analyze("_ - 7", override_lex)
     assert [(t.pos, t.lemma) for t in tokens] == [("OTHER", "_"), ("OTHER", "-"), ("NUM", "7")]
+
+
+# --- lower_squeeze --------------------------------------------------------------
+
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def test_str_split_cuts_where_a_str_pattern_matches_whitespace():
+    assert SPACES == re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+    # lowercasing neither makes nor changes whitespace
+    assert all(c.lower() == c for c in SPACES)
+    assert not [c for c in map(chr, range(sys.maxunicode + 1))
+                if not c.isspace() and any(x.isspace() for x in c.lower())]
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(SPACES)))
+def test_lower_squeeze_matches_regex_squeeze(text):
+    assert lower_squeeze(text) == re.sub(r"\s+", " ", text.strip().lower())

@@ -71,6 +71,7 @@ def make_inputs(directory: Path, images: int) -> tuple:
 
 COMMANDS = {
     "generate": ["generate", "--captions", "{coco}", "--workers", "1"],
+    "generate-workers-2": ["generate", "--captions", "{coco}", "--workers", "2"],
     "patches": ["patches", "--captions", "{coco}"],
     "pretrain": ["pretrain", "--captions", "{coco}", "--qa", "{qa}",
                  "--tasks", "mlm,mqa,itm"],

@@ -137,3 +137,22 @@ def test_manifest_lines_match_specs(tmp_path):
         for spec in specs
         for p in spec.patches
     ]
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(16, 5000),
+                       st.integers(16, 5000)), max_size=3),
+    st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True).map(sorted),
+)
+@settings(max_examples=80, deadline=None)
+def test_manifest_lines_are_json_encoding(tmp_path_factory, images, levels):
+    specs = [pyramid(image_id, w, h, levels=levels) for image_id, w, h in images]
+    path = tmp_path_factory.mktemp("manifest") / "patches.jsonl"
+    write_manifest(specs, path)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        encode({"image_id": spec.image_id, "level": p.level, "row": p.row, "col": p.col,
+                "rect": p.rect, "pos_enc": p.pos_enc})
+        for spec in specs
+        for p in spec.patches
+    ]

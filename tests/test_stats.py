@@ -1,11 +1,14 @@
 """Dataset reporting and embedding export."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from capqa.errors import EmptyStream
 from capqa.qa import QAPair
-from capqa.stats import StatsAccumulator, export_embeddings, report
+from capqa.stats import StatsAccumulator, _token_count, export_embeddings, report
 from conftest import make_store
 
 
@@ -175,3 +178,14 @@ class TestExportEmbeddings:
         pairs = [pair(0, "Is there a dog?", "yes", "yesno", "template")]
         with pytest.raises(OSError):
             export_embeddings(pairs, store, tmp_path / "missing" / "emb.txt")
+
+
+def token_list(text: str) -> list:
+    """Whitespace units with surrounding punctuation stripped, empty ones
+    dropped: the tokens `_token_count` counts."""
+    return [w for w in (u.strip(string.punctuation) for u in text.split()) if w]
+
+
+@given(st.text(st.sampled_from("ab?.,!'-\" \t\n\u2028\u00e9")))
+def test_token_count_is_length_of_token_list(text):
+    assert _token_count(text) == len(token_list(text))
